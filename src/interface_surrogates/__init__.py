@@ -54,7 +54,6 @@ from .pde import (
     SolverError,
     circle_points,
     evaluate_qoi,
-    export_points_csv,
     l2_error,
     probe_kink,
     spike_stats,
@@ -72,7 +71,6 @@ from .pipeline import (
     sample_parameters,
     save_dataset,
     sweep,
-    sweep_points,
     train_on_datasets,
 )
 from .plotting import fit_log_line, load_series_csv, render_plot, write_svg

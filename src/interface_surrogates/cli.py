@@ -91,12 +91,8 @@ def _cmd_sweep(args):
         base = dataclasses.replace(base, **overrides)
     out = args.out_dir or base.out_dir
     name = args.name or (args.preset or "sweep")
-    if kind == "figure" and list(axes) == ["n_points"]:
-        summary = pipeline.sweep_points(base, axes["n_points"], out,
-                                        workers=args.workers, name=name)
-    else:
-        summary = pipeline.sweep(base, axes, out, kind=kind,
-                                 workers=args.workers, name=name)
+    summary = pipeline.sweep(base, axes, out, kind=kind, workers=args.workers,
+                             name=name)
     failed = [c for c in summary["cells"] if "error" in c]
     for cell in summary["cells"]:
         label = ", ".join(f"{k}={v}" for k, v in cell["axes"].items())

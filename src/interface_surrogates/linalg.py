@@ -9,7 +9,6 @@ partial pivoting, with an explicit zero-pivot check.
 """
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -33,7 +32,7 @@ def assemble_csr(rows, cols, vals, n):
     return mat.tocsr()
 
 
-def cg_solve(A, b, tol=1e-10, maxit=20_000, precond="jacobi", x0=None):
+def cg_solve(A, b, tol=1e-10, maxit=20_000, precond="jacobi"):
     """Preconditioned conjugate gradients for SPD systems.
 
     Stops when ||r||_2 <= tol * ||b||_2.  Returns (x, info) where info
@@ -54,11 +53,11 @@ def cg_solve(A, b, tol=1e-10, maxit=20_000, precond="jacobi", x0=None):
     else:
         raise ValueError(f"unknown preconditioner {precond!r}")
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x if x0 is not None else b.copy()
+    x = np.zeros(n)
+    r = b.copy()
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return x * 0.0, {"iterations": 0, "residual_norms": [0.0]}
+        return x, {"iterations": 0, "residual_norms": [0.0]}
 
     z = minv * r
     p = z.copy()
@@ -100,12 +99,3 @@ def lu_solve(A, b):
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below threshold {threshold:.3e}")
     return lu.solve(np.asarray(b))
-
-
-def save_matrix_market(path, A):
-    """Matrix Market dump for external inspection of assembled systems."""
-    scipy.io.mmwrite(str(path), A.tocoo())
-
-
-def load_matrix_market(path):
-    return sp.csr_matrix(scipy.io.mmread(str(path)))

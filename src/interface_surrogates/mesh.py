@@ -8,14 +8,7 @@ disk), so no triangle straddles a coefficient discontinuity and every
 triangle carries an unambiguous chi-branch tag.  The square domain adds a
 few template rings that interpolate between the outermost circle and the
 square boundary.
-
-The binary mesh format is little-endian throughout: magic "IFSM", version,
-counts, float64 vertices, uint32 connectivity, uint8 region and band tags,
-conforming circle radii, boundary node list, and optional named fields
-(real or complex nodal data).
 """
-
-import struct
 
 import numpy as np
 
@@ -32,9 +25,6 @@ _REGION_OF_BAND = {
     BAND_FAR: REGION_OUTER,
     BAND_PML: REGION_PML,
 }
-
-_MAGIC = b"IFSM"
-_VERSION = 1
 
 # mesh size grows away from the interface band by this fraction per unit
 # distance; 0.3 keeps the ratio of neighbouring ring gaps near 1.3
@@ -154,82 +144,6 @@ class Mesh:
         tri_idx, lams = self.locate(points)
         vals = np.asarray(nodal)[self.triangles[tri_idx]]
         return (vals * lams).sum(axis=1)
-
-    # -- serialization ----------------------------------------------------
-
-    def save(self, path, fields=None):
-        """Write the binary format; fields is an optional {name: nodal array}."""
-        fields = fields or {}
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", _VERSION))
-            fh.write(struct.pack("<B", 0 if self.shape == "square" else 1))
-            fh.write(struct.pack("<2d", self.h_interface, self.h_far))
-            fh.write(struct.pack("<3Q", self.n_vertices, self.n_triangles,
-                                 len(self.boundary)))
-            fh.write(struct.pack("<Q", len(self.circles)))
-            fh.write(np.asarray(self.circles, dtype="<f8").tobytes())
-            fh.write(self.vertices.astype("<f8").tobytes())
-            fh.write(self.triangles.astype("<u4").tobytes())
-            fh.write(self.region.tobytes())
-            fh.write(self.band.tobytes())
-            fh.write(self.boundary.astype("<u4").tobytes())
-            fh.write(struct.pack("<Q", len(fields)))
-            for name in sorted(fields):
-                data = np.asarray(fields[name])
-                if data.shape != (self.n_vertices,):
-                    raise MeshError(f"field {name} is not nodal")
-                iscomplex = np.iscomplexobj(data)
-                blob = data.astype("<c16" if iscomplex else "<f8").tobytes()
-                enc = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(enc)))
-                fh.write(enc)
-                fh.write(struct.pack("<B", int(iscomplex)))
-                fh.write(blob)
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise MeshError(f"{path} is not a mesh file")
-            (version,) = struct.unpack("<I", fh.read(4))
-            if version != _VERSION:
-                raise MeshError(f"unsupported mesh format version {version}")
-            (shape_flag,) = struct.unpack("<B", fh.read(1))
-            h_int, h_far = struct.unpack("<2d", fh.read(16))
-            nv, nt, nb = struct.unpack("<3Q", fh.read(24))
-            (nc,) = struct.unpack("<Q", fh.read(8))
-            circles = np.frombuffer(fh.read(8 * nc), dtype="<f8")
-            vertices = np.frombuffer(fh.read(16 * nv), dtype="<f8").reshape(nv, 2)
-            triangles = np.frombuffer(fh.read(12 * nt), dtype="<u4").reshape(nt, 3)
-            region = np.frombuffer(fh.read(nt), dtype=np.uint8)
-            band = np.frombuffer(fh.read(nt), dtype=np.uint8)
-            boundary = np.frombuffer(fh.read(4 * nb), dtype="<u4")
-            (nf,) = struct.unpack("<Q", fh.read(8))
-            fields = {}
-            for _ in range(nf):
-                (ln,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(ln).decode("utf-8")
-                (iscomplex,) = struct.unpack("<B", fh.read(1))
-                width = 16 if iscomplex else 8
-                fields[name] = np.frombuffer(
-                    fh.read(width * nv), dtype="<c16" if iscomplex else "<f8")
-        mesh = cls(vertices, triangles, region, band, boundary, circles,
-                   "square" if shape_flag == 0 else "disk", h_int, h_far)
-        mesh.fields = fields
-        return mesh
-
-    def save_text(self, path):
-        """Human-readable dump for debugging."""
-        with open(path, "w") as fh:
-            fh.write(f"# mesh shape={self.shape} vertices={self.n_vertices} "
-                     f"triangles={self.n_triangles}\n")
-            fh.write("# circles " + " ".join(f"{c!r}" for c in self.circles) + "\n")
-            for x, y in self.vertices:
-                fh.write(f"v {x!r} {y!r}\n")
-            for (a, b, c), reg, bnd in zip(self.triangles, self.region, self.band):
-                fh.write(f"t {a} {b} {c} {reg} {bnd}\n")
-            fh.write("b " + " ".join(str(i) for i in self.boundary) + "\n")
 
 
 def _size_field(rho, r0, h_interface, h_far, pml_start=None, pml_h=None):

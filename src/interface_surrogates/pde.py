@@ -28,7 +28,13 @@ from .geometry import (
     map_inverse,
     map_jacobian,
 )
-from .linalg import NotConvergedError, assemble_csr, cg_solve, lu_solve
+from .linalg import (
+    NotConvergedError,
+    SingularMatrixError,
+    assemble_csr,
+    cg_solve,
+    lu_solve,
+)
 from .mesh import REGION_INNER
 
 
@@ -95,27 +101,6 @@ class ScalarField:
 
     def __call__(self, points):
         return self.mesh.interpolate(self.data, points)
-
-    def save(self, path):
-        fields = {"u": self.data}
-        if self.scattered is not None:
-            fields["u_scattered"] = self.scattered
-        self.mesh.save(path, fields=fields)
-
-
-def export_points_csv(path, points, values):
-    """QoI point cloud as CSV: x1, x2, value (re/im split when complex)."""
-    points = np.atleast_2d(points)
-    values = np.atleast_1d(values)
-    with open(path, "w") as fh:
-        if np.iscomplexobj(values):
-            fh.write("x1,x2,re,im\n")
-            for (x1, x2), v in zip(points, values):
-                fh.write(f"{x1!r},{x2!r},{v.real!r},{v.imag!r}\n")
-        else:
-            fh.write("x1,x2,value\n")
-            for (x1, x2), v in zip(points, values):
-                fh.write(f"{x1!r},{x2!r},{v!r}\n")
 
 
 class _FemCache:
@@ -237,9 +222,8 @@ class EllipticProblem:
         A, b = self.assemble(y)
         try:
             u_int, info = cg_solve(A, b, tol=self.cg_tol, maxit=self.cg_maxit)
-        except NotConvergedError as exc:
-            raise SolverError(f"CG did not converge for y={np.asarray(y)!r}: {exc}",
-                              y) from exc
+        except (NotConvergedError, SingularMatrixError) as exc:
+            raise SolverError(f"CG failed for y={np.asarray(y)!r}: {exc}", y) from exc
         u = self.cache.embed(u_int, self.mesh.n_vertices)
         return ScalarField(self.mesh, u, info=info)
 
@@ -365,7 +349,10 @@ class HelmholtzProblem:
 
     def solve(self, y):
         A, b = self.assemble(y)
-        us_int = lu_solve(A, b)
+        try:
+            us_int = lu_solve(A, b)
+        except SingularMatrixError as exc:
+            raise SolverError(f"LU failed for y={np.asarray(y)!r}: {exc}", y) from exc
         us = self.cache.embed(us_int, self.mesh.n_vertices, dtype=complex)
 
         rho = np.hypot(self.mesh.vertices[:, 0], self.mesh.vertices[:, 1])

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -329,14 +330,17 @@ def _init_worker(config):
     _WORKER_WS = Workspace(config)
 
 
-def _solve_indexed(args):
-    n, seed = args
-    y = sample_parameters(seed, n, _WORKER_WS.config.d)
+def _solve_sample(ws, seed, i):
+    y = sample_parameters(seed, i, ws.config.d)
     try:
-        q = _WORKER_WS.solve(y)
+        return y, ws.solve(y)
     except SolverError as exc:
-        raise PipelineError(f"sample {n} failed: {exc}; y = {y.tolist()}") from exc
-    return n, y, q
+        raise PipelineError(f"sample {i} failed: {exc}; y = {y.tolist()}") from exc
+
+
+def _solve_indexed(args):
+    i, seed = args
+    return (i, *_solve_sample(_WORKER_WS, seed, i))
 
 
 # ----------------------------------------------------------------- datasets
@@ -379,14 +383,7 @@ def gen_data(config, n=None, seed=None, workers=1):
         ws = Workspace(config)
         mesh = ws.mesh
         for i in range(n):
-            y = sample_parameters(seed, i, config.d)
-            try:
-                q = ws.solve(y)
-            except SolverError as exc:
-                raise PipelineError(
-                    f"sample {i} failed: {exc}; y = {y.tolist()}") from exc
-            samples[i] = y
-            qoi[i] = q
+            samples[i], qoi[i] = _solve_sample(ws, seed, i)
     else:
         mesh = config.build_mesh()
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -416,6 +413,19 @@ def gen_data(config, n=None, seed=None, workers=1):
     return Dataset(samples, qoi, meta)
 
 
+def _write_json(path, obj):
+    """Write obj to a temp file beside path, then rename it over path, so
+    an interrupted write never leaves path truncated."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _paths(base, binary):
     base = Path(base)
     if binary:
@@ -435,9 +445,7 @@ def save_dataset(ds, base, binary=False):
     else:
         np.savetxt(paths["samples"], ds.samples, fmt="%.17g", delimiter=",")
         np.savetxt(paths["qoi"], ds.qoi, fmt="%.17g", delimiter=",")
-    with open(paths["meta"], "w") as fh:
-        json.dump(ds.meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(paths["meta"], ds.meta)
     return paths
 
 
@@ -529,9 +537,7 @@ def train_on_datasets(config, train_ds, test_ds, out_dir=None, tag=None):
         out.mkdir(parents=True, exist_ok=True)
         name = record["tag"]
         surrogate.save_network(net, out / f"{name}.mlpc")
-        with open(out / f"{name}.result.json", "w") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / f"{name}.result.json", record)
     return net, record
 
 
@@ -558,14 +564,14 @@ def _axis_values(base, axes):
         yield dict(zip(names, combo))
 
 
-def _slice_points(ds, config, stride_count):
-    """View of a max-point dataset restricted to n_points equispaced columns."""
+def _slice_points(ds, config):
+    """View of a max-point dataset restricted to config.n_points equispaced
+    columns."""
     total = ds.qoi.shape[1]
-    step = total // stride_count
-    cols = np.arange(0, total, step)
+    cols = np.arange(0, total, total // config.n_points)
     meta = dict(ds.meta)
     meta.update({"config": config.to_dict(), "config_hash": config.data_hash(),
-                 "n_points": stride_count, "sliced_from": total})
+                 "n_points": config.n_points, "sliced_from": total})
     return Dataset(ds.samples, ds.qoi[:, cols], meta)
 
 
@@ -576,13 +582,19 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
     kind: "table" (CSV + Markdown, rows = first axis, columns = second),
     "figure" (series CSV + fit JSON + SVG, x = last axis), or "geometry"
     (no PDE: the cell value is the maximal shape variation in percent).
-    A failed cell is recorded and skipped; completed cells are kept.
+    With an n_points axis, cells whose count divides the largest count
+    share one dataset pair generated at that count: the evaluation circle
+    at count m is a subset of the circle at count k*m, so the QoI matrix
+    is column-sliced per cell.  A failed cell is recorded and skipped;
+    completed cells are kept in NAME.cells.json, rewritten after each cell.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     axes = {k: list(v) for k, v in axes.items()}
     if kind is None:
         kind = "figure" if len(axes) == 1 else "table"
+    top = max(axes["n_points"]) if "n_points" in axes else None
+    shared = {}
     cells = []
     for overrides in _axis_values(base_config, axes):
         cell = {"axes": overrides}
@@ -592,22 +604,37 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
             if kind == "geometry":
                 model = InterfaceModel(cfg.nominal_radius(), cfg.d, cfg.p, cfg.c)
                 cell["value"] = 100.0 * max_shape_variation(model)
+            elif top is not None and top % cfg.n_points == 0:
+                cell["value"] = _shared_cell(cfg, top, shared, out, workers,
+                                             reuse)["test_error"]
             else:
                 record = run_experiment(cfg, out, workers=workers, reuse=reuse)
                 cell["value"] = record["test_error"]
         except (PipelineError, SolverError, ArithmeticError, ValueError) as exc:
             cell["error"] = str(exc)
         cells.append(cell)
-        with open(out / f"{name}.cells.json", "w") as fh:
-            json.dump({"axes": axes, "kind": kind, "cells": cells}, fh,
-                      indent=1, sort_keys=True)
-            fh.write("\n")
-    summary = {"axes": axes, "kind": kind, "cells": cells}
+        _write_json(out / f"{name}.cells.json",
+                    {"axes": axes, "kind": kind, "cells": cells})
     if kind in ("table", "geometry"):
         _emit_table(out, name, axes, cells)
     else:
         _emit_figure(out, name, axes, cells)
-    return summary
+    return {"axes": axes, "kind": kind, "cells": cells}
+
+
+def _shared_cell(cfg, top, shared, out, workers, reuse):
+    """Train cfg on its columns of the dataset pair generated at top points.
+
+    shared maps what decides dataset content (data hash, seed, sample
+    counts) to the pair, so each pair is generated or loaded once.
+    """
+    big = dataclasses.replace(cfg, n_points=top)
+    key = (big.data_hash(), big.seed, big.n_train, big.n_test)
+    if key not in shared:
+        shared[key] = [_ensure_dataset(big, split, out, workers, reuse)
+                       for split in ("train", "test")]
+    train_ds, test_ds = (_slice_points(ds, cfg) for ds in shared[key])
+    return train_on_datasets(cfg, train_ds, test_ds, out)[1]
 
 
 def _cell_lookup(cells):
@@ -675,39 +702,3 @@ def _emit_figure(out, name, axes, cells):
     svg = plotting.render_plot(series, title=name, xlabel=x_axis,
                                ylabel="test error")
     plotting.write_svg(out / f"{name}.svg", svg)
-
-
-def sweep_points(base_config, point_counts, out_dir, workers=1, reuse=True,
-                 name="points"):
-    """n_points sweep sharing one dataset generated at the largest count.
-
-    The evaluation circle at count m is a subset of the circle at count k*m,
-    so the QoI matrix of the largest count is column-sliced per cell.
-    """
-    counts = sorted(set(int(v) for v in point_counts))
-    top = max(counts)
-    if any(top % v for v in counts):
-        raise PipelineError("point counts must divide the largest count")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    base_top = dataclasses.replace(base_config, n_points=top)
-    train_top = _ensure_dataset(base_top, "train", out, workers, reuse)
-    test_top = _ensure_dataset(base_top, "test", out, workers, reuse)
-    cells = []
-    for m in counts:
-        cfg = dataclasses.replace(base_config, n_points=m)
-        cell = {"axes": {"n_points": m}, "tag": cfg.tag()}
-        try:
-            _, record = train_on_datasets(
-                cfg, _slice_points(train_top, cfg, m),
-                _slice_points(test_top, cfg, m), out)
-            cell["value"] = record["test_error"]
-        except (PipelineError, ArithmeticError, ValueError) as exc:
-            cell["error"] = str(exc)
-        cells.append(cell)
-        with open(out / f"{name}.cells.json", "w") as fh:
-            json.dump({"axes": {"n_points": counts}, "kind": "figure",
-                       "cells": cells}, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    _emit_figure(out, name, {"n_points": counts}, cells)
-    return {"axes": {"n_points": counts}, "kind": "figure", "cells": cells}

@@ -5,7 +5,6 @@ hand-written reverse pass is both faster to verify and bit-reproducible.
 Training runs full batch with multi-restart selection by test error.
 """
 
-import json
 import struct
 import time
 
@@ -169,8 +168,8 @@ class TrainReport:
             return 0.0
         return (self.test_error - self.train_error) / self.test_error
 
-    def to_dict(self, full_history=False):
-        d = {
+    def to_dict(self):
+        return {
             "train_error": self.train_error,
             "test_error": self.test_error,
             "gap": self.gap,
@@ -182,14 +181,6 @@ class TrainReport:
             "hyperparams": self.hyperparams,
             "diverged": self.diverged,
         }
-        if full_history:
-            d["loss_history"] = self.loss_history.tolist()
-        return d
-
-    def save_json(self, path, full_history=False):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(full_history), fh, indent=2)
-            fh.write("\n")
 
 
 def train(train_set, test_set, widths, epochs, restarts=1, base_seed=0,

@@ -111,8 +111,8 @@ def test_criterion_8_trend_reproduction(tmp_path, capfd):
             errors[problem, p] = record["test_error"]
             print(f"{record['tag']}: test error {errors[problem, p]:.3e}")
 
-    summary = pl.sweep_points(pl.preset("desk-elliptic"), [1, 8, 64],
-                              tmp_path, name="points-trend")
+    summary = pl.sweep(pl.preset("desk-elliptic"), {"n_points": [1, 8, 64]},
+                       tmp_path, kind="figure", name="points-trend")
     cells = [c for c in summary["cells"] if "value" in c]
     _, slope = fit_log_line([c["axes"]["n_points"] for c in cells],
                             [c["value"] for c in cells])

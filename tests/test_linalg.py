@@ -9,9 +9,7 @@ from interface_surrogates.linalg import (
     SingularMatrixError,
     assemble_csr,
     cg_solve,
-    load_matrix_market,
     lu_solve,
-    save_matrix_market,
 )
 
 
@@ -107,11 +105,3 @@ def test_lu_detects_singular():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
         lu_solve(A, np.ones(2))
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    A = laplacian_1d(7)
-    path = tmp_path / "lap.mtx"
-    save_matrix_market(path, A)
-    B = load_matrix_market(path)
-    assert np.allclose(A.toarray(), B.toarray())

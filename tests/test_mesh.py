@@ -1,4 +1,4 @@
-"""Mesh construction invariants, point location, and the binary format."""
+"""Mesh construction invariants and point location."""
 
 import numpy as np
 import pytest
@@ -162,41 +162,3 @@ def test_checker_catches_straddle(square_coarse):
                square_coarse.h_interface, square_coarse.h_far)
     with pytest.raises(MeshError):
         check_mesh(bad)
-
-
-def test_mesh_roundtrip(tmp_path, disk_coarse):
-    path = tmp_path / "disk.mesh"
-    field = np.sin(disk_coarse.vertices[:, 0] * 40.0)
-    cfield = field + 1j * np.cos(disk_coarse.vertices[:, 1] * 40.0)
-    disk_coarse.save(path, fields={"u": field, "us": cfield})
-    back = Mesh.load(path)
-    assert np.array_equal(back.vertices, disk_coarse.vertices)
-    assert np.array_equal(back.triangles, disk_coarse.triangles)
-    assert np.array_equal(back.region, disk_coarse.region)
-    assert np.array_equal(back.band, disk_coarse.band)
-    assert np.array_equal(back.boundary, disk_coarse.boundary)
-    assert back.circles == disk_coarse.circles
-    assert back.shape == "disk"
-    assert np.array_equal(back.fields["u"], field)
-    assert np.array_equal(back.fields["us"], cfield)
-
-
-def test_mesh_bytes_deterministic(tmp_path, square_coarse):
-    p1, p2 = tmp_path / "a.mesh", tmp_path / "b.mesh"
-    square_coarse.save(p1)
-    square_coarse.save(p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_mesh_text_dump(tmp_path, square_coarse):
-    path = tmp_path / "mesh.txt"
-    square_coarse.save_text(path)
-    first = path.read_text().splitlines()[0]
-    assert "square" in first and str(square_coarse.n_vertices) in first
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.mesh"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(MeshError):
-        Mesh.load(path)

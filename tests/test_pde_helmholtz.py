@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from interface_surrogates import pde
 from interface_surrogates.geometry import DomainMap, InterfaceModel, map_forward
+from interface_surrogates.linalg import SingularMatrixError
 from interface_surrogates.mesh import build_disk_mesh
-from interface_surrogates.pde import HelmholtzProblem, circle_points, evaluate_qoi
+from interface_surrogates.pde import (
+    HelmholtzProblem,
+    SolverError,
+    circle_points,
+    evaluate_qoi,
+)
 from interface_surrogates.oracles import scattering_series
 
 KAPPA_O = 200 * np.pi / 3
@@ -112,3 +119,15 @@ def test_requires_absorbing_layer(dm):
     bare = build_disk_mesh(R0, R0 / 4, R, 0.0, h_interface=LAM / 8, h_far=LAM / 8)
     with pytest.raises(ValueError):
         HelmholtzProblem(bare, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
+
+
+def test_singular_system_raises_solver_error(mesh, dm, monkeypatch):
+    def singular(A, b):
+        raise SingularMatrixError("zero pivot")
+
+    monkeypatch.setattr(pde, "lu_solve", singular)
+    prob = HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
+    y = np.full(8, 0.3)
+    with pytest.raises(SolverError, match="zero pivot") as err:
+        prob.solve(y)
+    np.testing.assert_array_equal(err.value.y, y)

@@ -6,8 +6,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from interface_surrogates import pde
 from interface_surrogates import pipeline as pl
-from interface_surrogates.pde import circle_points
+from interface_surrogates.linalg import SingularMatrixError
+from interface_surrogates.pde import SolverError, circle_points
 
 DIMS = [8, 16, 32, 64]
 SHAPE_VARIATION_TABLE = {
@@ -372,11 +374,92 @@ def test_point_slicing_matches_direct_generation(tmp_path):
 
 def test_sweep_points_shares_one_dataset(tmp_path):
     base = tiny_config(n_points=1)
-    summary = pl.sweep_points(base, [1, 2], tmp_path, name="pts")
+    summary = pl.sweep(base, {"n_points": [1, 2]}, tmp_path, kind="figure",
+                       name="pts")
     assert [c["axes"]["n_points"] for c in summary["cells"]] == [1, 2]
     assert all("value" in c for c in summary["cells"])
     # only the two-point (largest) dataset is persisted
     assert (tmp_path / "elliptic-d4-p3-a10-np2-train.samples.csv").exists()
     assert not (tmp_path / "elliptic-d4-p3-a10-np1-train.samples.csv").exists()
-    with pytest.raises(pl.PipelineError):
-        pl.sweep_points(base, [2, 3], tmp_path)
+    assert (tmp_path / "pts.series.csv").exists()
+    # the sliced one-point cell trains on the first column of the shared data
+    direct = pl.train_on_datasets(
+        base, pl.gen_data(base, base.n_train, base.seed),
+        pl.gen_data(base, base.n_test, base.seed + pl.TEST_STREAM))[1]
+    assert summary["cells"][0]["value"] == pytest.approx(direct["test_error"],
+                                                         rel=1e-9)
+
+
+def test_points_sweep_generates_once_per_data_signature(tmp_path, monkeypatch):
+    calls = []
+    real = pl.gen_data
+
+    def counting(config, n=None, seed=None, workers=1):
+        calls.append((config.p, config.n_points, seed))
+        return real(config, n, seed, workers)
+
+    monkeypatch.setattr(pl, "gen_data", counting)
+    base = tiny_config(n_points=1)
+    summary = pl.sweep(base, {"p": [1, 3], "n_points": [1, 2]}, tmp_path,
+                       reuse=False, name="grid")
+    assert all("value" in c for c in summary["cells"])
+    test_seed = base.seed + pl.TEST_STREAM
+    assert calls == [(1, 2, base.seed), (1, 2, test_seed),
+                     (3, 2, base.seed), (3, 2, test_seed)]
+    written = sorted(f.name for f in tmp_path.glob("*-train.samples.csv"))
+    assert written == ["elliptic-d4-p1-a10-np2-train.samples.csv",
+                       "elliptic-d4-p3-a10-np2-train.samples.csv"]
+
+
+def test_points_sweep_non_dividing_count_gets_own_dataset(tmp_path):
+    summary = pl.sweep(tiny_config(), {"n_points": [2, 3]}, tmp_path,
+                       kind="figure", name="pts")
+    assert all("value" in c for c in summary["cells"])
+    assert (tmp_path / "elliptic-d4-p3-a10-np2-train.samples.csv").exists()
+    assert (tmp_path / "elliptic-d4-p3-a10-np3-train.samples.csv").exists()
+
+
+def test_cells_file_survives_interrupted_write(tmp_path, monkeypatch):
+    real = pl.json.dump
+    calls = []
+
+    def dump_then_fail(obj, fh, **kw):
+        calls.append(obj)
+        if len(calls) == 2:
+            fh.write('{"cells": [')
+            raise KeyboardInterrupt
+        return real(obj, fh, **kw)
+
+    monkeypatch.setattr(pl.json, "dump", dump_then_fail)
+    with pytest.raises(KeyboardInterrupt):
+        pl.sweep(pl.preset("desk-elliptic"), {"d": [8, 16]}, tmp_path,
+                 kind="geometry", name="shape")
+    monkeypatch.undo()
+    saved = json.loads((tmp_path / "shape.cells.json").read_text())
+    assert [c["axes"] for c in saved["cells"]] == [{"d": 8}]
+    assert [f.name for f in tmp_path.iterdir()] == ["shape.cells.json"]
+
+
+# ------------------------------------------------------- solver failures
+
+
+def _singular(*args, **kwargs):
+    raise SingularMatrixError("zero pivot")
+
+
+def test_gen_data_reports_singular_sample(monkeypatch):
+    monkeypatch.setattr(pde, "cg_solve", _singular)
+    cfg = tiny_config()
+    with pytest.raises(pl.PipelineError, match="sample 0 failed") as err:
+        pl.gen_data(cfg, 2, 5)
+    assert str(pl.sample_parameters(5, 0, cfg.d).tolist()) in str(err.value)
+    assert isinstance(err.value.__cause__, SolverError)
+
+
+def test_sweep_records_singular_cell(tmp_path, monkeypatch):
+    monkeypatch.setattr(pde, "cg_solve", _singular)
+    summary = pl.sweep(tiny_config(), {"n_points": [1, 2]}, tmp_path,
+                       kind="figure", name="pts")
+    assert all("zero pivot" in c["error"] for c in summary["cells"])
+    saved = json.loads((tmp_path / "pts.cells.json").read_text())
+    assert len(saved["cells"]) == 2

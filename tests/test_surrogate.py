@@ -323,12 +323,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_network(good)
 
 
-def test_report_json(tmp_path):
+def test_report_json():
     tr, te = affine_dataset(n_train=32, n_test=16)
     _, report, _ = train(tr, te, [4, 10, 3], epochs=100, restarts=1, base_seed=3)
-    path = tmp_path / "report.json"
-    report.save_json(path)
-    data = json.loads(path.read_text())
+    data = json.loads(json.dumps(report.to_dict()))
     assert data["epochs_run"] == 100
     assert data["test_error"] == report.test_error
     assert data["gap"] == pytest.approx((report.test_error - report.train_error)
