@@ -10,7 +10,10 @@ assembled on the fixed nominal mesh with piecewise linear elements and a
 3-point order-2 quadrature rule.  Region coefficients (alpha, kappa) are
 constant per triangle since the mesh conforms to the nominal circle; the
 chi-branch of each triangle resolves the one-sided Jacobian at the
-mollifier breakpoints.
+mollifier breakpoints.  Phi is the identity outside the two mollifier
+bands, so only band triangles move with y: the CSR pattern, the slot of
+every element-matrix entry in it and the sums over all other triangles are
+built once per problem, and a sample adds its band triangles with bincount.
 
 The transmission problem is solved for the scattered field with the
 incident plane wave imposed through a volume term supported on the inner
@@ -19,6 +22,7 @@ complex-stretching absorbing layer closes the truncated exterior.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from .geometry import (
     BAND_INNER,
@@ -50,6 +54,8 @@ _Q2 = np.array([[2 / 3, 1 / 6, 1 / 6],
                 [1 / 6, 2 / 3, 1 / 6],
                 [1 / 6, 1 / 6, 2 / 3]])
 _W2 = np.full(3, 1 / 3)
+# mass weights W2[q] phi_i(q) phi_j(q) of that rule, as a (3, 9) matrix
+_MASS = np.einsum("q,qi,qj->qij", _W2, _Q2, _Q2).reshape(3, 9)
 
 # order-4 rule (6 points), used for error integrals only
 _Q4 = np.array([
@@ -75,17 +81,22 @@ def circle_points(r0, n):
     return r0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def transformed_coefficients(dm, y, points, band, alpha=1.0):
-    """Pullback coefficient Ahat = J^-1 J^-T detJ alpha and detJ at points."""
-    J = map_jacobian(dm, y, points, band)
-    a, b = J[:, 0, 0], J[:, 0, 1]
-    c, d = J[:, 1, 0], J[:, 1, 1]
+def _pullback(J):
+    """Pullback metric J^-1 J^-T detJ and detJ for Jacobians J of shape (..., 2, 2)."""
+    a, b = J[..., 0, 0], J[..., 0, 1]
+    c, d = J[..., 1, 0], J[..., 1, 1]
     det = a * d - b * c
     K = np.empty_like(J)
-    K[:, 0, 0] = (d * d + b * b) / det
-    K[:, 0, 1] = -(c * d + a * b) / det
-    K[:, 1, 0] = K[:, 0, 1]
-    K[:, 1, 1] = (a * a + c * c) / det
+    K[..., 0, 0] = (d * d + b * b) / det
+    K[..., 0, 1] = -(c * d + a * b) / det
+    K[..., 1, 0] = K[..., 0, 1]
+    K[..., 1, 1] = (a * a + c * c) / det
+    return K, det
+
+
+def transformed_coefficients(dm, y, points, band, alpha=1.0):
+    """Pullback coefficient Ahat = J^-1 J^-T detJ alpha and detJ at points."""
+    K, det = _pullback(map_jacobian(dm, y, points, band))
     return alpha * K, det
 
 
@@ -103,54 +114,64 @@ class ScalarField:
         return self.mesh.interpolate(self.data, points)
 
 
+def _bincount(slots, vals, n):
+    """Sum vals into n bins by slot; slot n collects the dropped entries."""
+    slots, vals = slots.ravel(), vals.ravel()
+    if np.iscomplexobj(vals):
+        return _bincount(slots, vals.real, n) + 1j * _bincount(slots, vals.imag, n)
+    return np.bincount(slots, vals, minlength=n + 1)[:n]
+
+
 class _FemCache:
     """Mesh-dependent arrays shared by every sample: P1 gradients, areas,
-    quadrature points and their chi-branch, Dirichlet dof numbering."""
+    quadrature points, the band triangles that move with y, Dirichlet dof
+    numbering, and the interior-dof CSR pattern with the slot of every
+    element-matrix entry in it."""
 
     def __init__(self, mesh):
         tri = mesh.triangles.astype(np.int64)
         v = mesh.vertices[tri]
         x, ybar = v[..., 0], v[..., 1]
-        self.area = 0.5 * ((x[:, 1] - x[:, 0]) * (ybar[:, 2] - ybar[:, 0])
-                           - (x[:, 2] - x[:, 0]) * (ybar[:, 1] - ybar[:, 0]))
+        self.area = mesh.areas()
         grads = np.empty((tri.shape[0], 3, 2))
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
             grads[:, i, 0] = (ybar[:, j] - ybar[:, k])
             grads[:, i, 1] = (x[:, k] - x[:, j])
         self.grads = grads / (2 * self.area)[:, None, None]
-        self.quad = np.einsum("qi,tid->tqd", _Q2, v)
-        self.quad_err = np.einsum("qi,tid->tqd", _Q4, v)
-        self.tri = tri
-        self.v = v
+        self.quad = _Q2 @ v  # (t, q, 2)
+        moving = (mesh.band == BAND_INNER) | (mesh.band == BAND_OUTER)
+        self.moving = np.nonzero(moving)[0]
+        self.fixed = np.nonzero(~moving)[0]
+        self.moving_quad = self.quad[self.moving].reshape(-1, 2)
+        self.moving_band = np.repeat(mesh.band[self.moving], 3)
 
-        n = mesh.n_vertices
-        dof = np.full(n, -1, dtype=np.int64)
+        dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
         interior = mesh.interior_nodes()
         dof[interior] = np.arange(interior.size)
-        self.dof = dof
         self.interior = interior
-        self.n_int = interior.size
+        n = self.n_int = interior.size
 
-        ii = np.broadcast_to(tri[:, :, None], (tri.shape[0], 3, 3))
-        jj = np.broadcast_to(tri[:, None, :], (tri.shape[0], 3, 3))
-        self.rows = ii.reshape(-1)
-        self.cols = jj.reshape(-1)
+        # entry (i, j) of a triangle's element matrix goes to CSR slot
+        # slots[t, 3 i + j], read back from a pattern whose values are their
+        # own slot numbers; entries on a Dirichlet row or column go to the
+        # dropped slot nnz
+        d = dof[tri]
+        rows, cols = np.repeat(d, 3, axis=1).ravel(), np.tile(d, 3).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        pattern = assemble_csr(rows[keep], cols[keep], np.ones(keep.sum()), n)
+        self.indptr, self.indices, self.nnz = pattern.indptr, pattern.indices, pattern.nnz
+        pattern.data = np.arange(self.nnz, dtype=float)
+        slots = np.full(rows.size, self.nnz)
+        slots[keep] = np.asarray(pattern[rows[keep], cols[keep]]).ravel()
+        self.slots = slots.reshape(-1, 9)
+        self.dof_slots = np.where(d >= 0, d, n)
 
-    def scatter_matrix(self, S):
-        """Restrict element matrices to interior dofs and build CSR."""
-        ri = self.dof[self.rows]
-        ci = self.dof[self.cols]
-        keep = (ri >= 0) & (ci >= 0)
-        return assemble_csr(ri[keep], ci[keep], S.reshape(-1)[keep], self.n_int)
-
-    def scatter_vector(self, bt):
-        idx = self.dof[self.tri].reshape(-1)
-        vals = bt.reshape(-1)
-        keep = idx >= 0
-        b = np.zeros(self.n_int, dtype=vals.dtype)
-        np.add.at(b, idx[keep], vals[keep])
-        return b
+    def sums(self, tris, S, bt):
+        """Element matrices S and loads bt of triangles tris, summed into CSR
+        values and an interior-dof load vector."""
+        return (_bincount(self.slots[tris], S, self.nnz),
+                _bincount(self.dof_slots[tris], bt, self.n_int))
 
     def embed(self, u_int, n, dtype=float):
         u = np.zeros(n, dtype=dtype)
@@ -158,26 +179,41 @@ class _FemCache:
         return u
 
 
-def _metric_terms(dm, y, cache, mesh, triangles):
-    """Averaged pullback metric Kbar and detJ at quadrature points for the
-    selected triangles; identity-band triangles shortcut to (I, 1)."""
-    band = mesh.band[triangles]
-    active = (band == BAND_INNER) | (band == BAND_OUTER)
-    m = triangles.size
-    Kbar = np.tile(np.eye(2), (m, 1, 1))
-    det = np.ones((m, 3))
-    if np.any(active):
-        tsel = triangles[active]
-        pts = cache.quad[tsel].reshape(-1, 2)
-        bands = np.repeat(mesh.band[tsel], 3)
-        K, dets = transformed_coefficients(dm, y, pts, bands)
-        K = K.reshape(-1, 3, 2, 2)
-        Kbar[active] = np.einsum("q,tqde->tde", _W2, K)
-        det[active] = dets.reshape(-1, 3)
-    return Kbar, det, active
+class _MappedProblem:
+    """Assembly of -div(alpha grad u) - kappa2 u shared by both problems.
+
+    A subclass sets dm, cache and the per-triangle _alpha and _kappa2
+    (zero for diffusion), and defines _load(tris, J, det, y).  The map
+    moves no triangle outside the two bands, so _fix sums those once, at
+    y = 0 where the map is the identity; _assemble(y) adds the rest.
+    """
+
+    def _sums(self, tris, J, y):
+        """Summed element matrices and loads of triangles tris, given the
+        Jacobian J of shape (t, 3, 2, 2) at their quadrature points."""
+        cache = self.cache
+        K, det = _pullback(J)
+        Kbar = np.einsum("q,tqde->tde", _W2, K)
+        area, grads = cache.area[tris], cache.grads[tris]
+        coef = (self._alpha[tris] * area)[:, None, None] * Kbar
+        mass = (self._kappa2[tris] * area)[:, None] * (det @ _MASS)
+        S = np.einsum("tid,tde,tje->tij", grads, coef, grads) - mass.reshape(-1, 3, 3)
+        return cache.sums(tris, S, self._load(tris, J, det, y))
+
+    def _fix(self, J):
+        """Sum the fixed triangles once; J is I there except in a PML."""
+        self._fixed = self._sums(self.cache.fixed, J, np.zeros(self.dm.model.d))
+
+    def _assemble(self, y):
+        cache = self.cache
+        J = map_jacobian(self.dm, y, cache.moving_quad, cache.moving_band)
+        values, b = self._sums(cache.moving, J.reshape(-1, 3, 2, 2), y)
+        A = sp.csr_matrix((self._fixed[0] + values, cache.indices.copy(),
+                           cache.indptr.copy()), shape=(cache.n_int, cache.n_int))
+        return A, self._fixed[1] + b
 
 
-class EllipticProblem:
+class EllipticProblem(_MappedProblem):
     """Dirichlet diffusion problem with a random inclusion.
 
     -div(alpha grad u) = f on the square, u = 0 on the boundary, alpha =
@@ -195,28 +231,19 @@ class EllipticProblem:
         self.cg_tol = cg_tol
         self.cg_maxit = cg_maxit
         self.cache = _FemCache(mesh)
-        self.alpha_tri = np.where(mesh.region == REGION_INNER, self.alpha_i, 1.0)
+        self._alpha = np.where(mesh.region == REGION_INNER, self.alpha_i, 1.0)
+        self._kappa2 = np.zeros(mesh.n_triangles)
+        self._fix(np.tile(np.eye(2), (self.cache.fixed.size, 3, 1, 1)))
+
+    def _load(self, tris, J, det, y):
+        # fhat = f(Phi(x)) detJ at the quadrature points
+        mapped = map_forward(self.dm, y, self.cache.quad[tris].reshape(-1, 2))
+        fval = self.source(mapped).reshape(-1, 3) * det
+        return np.einsum("tq,q,qi->ti", fval, _W2, _Q2) * self.cache.area[tris, None]
 
     def assemble(self, y):
         """Stiffness matrix and load vector on interior dofs."""
-        cache = self.cache
-        mesh = self.mesh
-        all_tris = np.arange(mesh.n_triangles)
-        Kbar, det, _ = _metric_terms(self.dm, y, cache, mesh, all_tris)
-
-        coef = self.alpha_tri * cache.area
-        S = np.einsum("tid,tde,tje->tij", cache.grads, coef[:, None, None] * Kbar,
-                      cache.grads)
-
-        # fhat = f(Phi(x)) detJ at the quadrature points
-        qpts = cache.quad.reshape(-1, 2)
-        mapped = map_forward(self.dm, y, qpts)
-        fval = (self.source(mapped).reshape(-1, 3)) * det
-        bt = np.einsum("tq,q,qi->ti", fval, _W2, _Q2) * cache.area[:, None]
-
-        A = cache.scatter_matrix(S)
-        b = cache.scatter_vector(bt)
-        return A, b
+        return self._assemble(y)
 
     def solve(self, y):
         A, b = self.assemble(y)
@@ -228,7 +255,7 @@ class EllipticProblem:
         return ScalarField(self.mesh, u, info=info)
 
 
-class HelmholtzProblem:
+class HelmholtzProblem(_MappedProblem):
     """Plane-wave transmission problem with an absorbing outer annulus.
 
     -div(alpha grad u) - kappa^2 u = 0 with alpha = alpha_i, kappa =
@@ -258,94 +285,60 @@ class HelmholtzProblem:
         self.pml_damping = float(pml_damping)
         self.R = mesh.circles[2]
         self.pml_thickness = mesh.circles[3] - mesh.circles[2]
-        self.cache = _FemCache(mesh)
-        self._phys = np.nonzero(mesh.band != BAND_PML)[0]
-        self._pml = np.nonzero(mesh.band == BAND_PML)[0]
-        self._inner = np.nonzero(mesh.region == REGION_INNER)[0]
+        self.cache = cache = _FemCache(mesh)
+        self._inner = mesh.region == REGION_INNER
+        self._alpha = np.where(self._inner, self.alpha_i, 1.0)
+        self._kappa2 = np.where(self._inner, self.kappa_i**2, self.kappa_o**2)
+        fixed = cache.fixed
+        J = np.tile(np.eye(2, dtype=complex), (fixed.size, 3, 1, 1))
+        pml = mesh.band[fixed] == BAND_PML
+        J[pml] = self._pml_jacobian(cache.quad[fixed[pml]])
+        self._fix(J)
+        self._pml_mask = np.hypot(*mesh.vertices.T) > self.R + 1e-12
 
-    def _pml_factors(self, rho):
-        """Complex radial stretch (rho~/rho, drho~/drho) inside the layer.
+    def _pml_jacobian(self, qp):
+        """Jacobian d e_rho e_rho^T + s e_phi e_phi^T, (s, d) = (rho~/rho,
+        drho~/drho), of the complex stretch at qp; pulled back like DPhi.
 
         Quadratic damping ramp d(rho~)/d(rho) = 1 + 2i sigma0 kappa_o t tau^2
         with tau the relative depth: the smooth ramp keeps the discrete
         transition reflection small while the optical depth grows with the
         layer, giving one-way attenuation exp(-2 sigma0 (kappa_o t)^2 / 3).
         """
+        rho = np.hypot(qp[..., 0], qp[..., 1])
         t = self.pml_thickness
         tau = (rho - self.R) / t
         amp = 2.0 * self.pml_damping * self.kappa_o * t
         d = 1.0 + 1j * amp * tau**2
-        stretched = rho + 1j * amp * t * tau**3 / 3.0
-        return stretched / rho, d
+        s = (rho + 1j * amp * t * tau**3 / 3.0) / rho
+        e_rho = qp / rho[..., None]
+        e_phi = e_rho[..., ::-1] * np.array([-1.0, 1.0])
+        return (np.einsum("...,...d,...e->...de", d, e_rho, e_rho)
+                + np.einsum("...,...d,...e->...de", s, e_phi, e_phi))
 
-    def assemble(self, y):
-        cache = self.cache
-        mesh = self.mesh
-        m = mesh.n_triangles
-        S = np.zeros((m, 3, 3), dtype=complex)
-        Mm = np.zeros((m, 3, 3), dtype=complex)
-
-        # physical region: pullback coefficients, region-wise alpha, kappa
-        phys = self._phys
-        Kbar, det, _ = _metric_terms(self.dm, y, cache, mesh, phys)
-        alpha = np.where(mesh.region[phys] == REGION_INNER, self.alpha_i, 1.0)
-        kappa2 = np.where(mesh.region[phys] == REGION_INNER,
-                          self.kappa_i**2, self.kappa_o**2)
-        coef = (alpha * cache.area[phys])[:, None, None] * Kbar
-        S[phys] = np.einsum("tid,tde,tje->tij", cache.grads[phys], coef,
-                            cache.grads[phys])
-        mloc = np.einsum("tq,q,qi,qj->tij", det, _W2, _Q2, _Q2)
-        Mm[phys] = (kappa2 * cache.area[phys])[:, None, None] * mloc
-
-        # absorbing annulus: complex radial stretch of the background
-        pml = self._pml
-        if pml.size:
-            qp = cache.quad[pml].reshape(-1, 2)
-            rho = np.hypot(qp[:, 0], qp[:, 1])
-            s, dstr = self._pml_factors(rho)
-            cs, sn = qp[:, 0] / rho, qp[:, 1] / rho
-            arad = s / dstr
-            aang = dstr / s
-            K = np.empty((qp.shape[0], 2, 2), dtype=complex)
-            K[:, 0, 0] = arad * cs * cs + aang * sn * sn
-            K[:, 0, 1] = (arad - aang) * cs * sn
-            K[:, 1, 0] = K[:, 0, 1]
-            K[:, 1, 1] = arad * sn * sn + aang * cs * cs
-            K = K.reshape(-1, 3, 2, 2)
-            Kbar_pml = np.einsum("q,tqde->tde", _W2, K)
-            S[pml] = np.einsum("tid,tde,tje->tij", cache.grads[pml],
-                               cache.area[pml][:, None, None] * Kbar_pml,
-                               cache.grads[pml])
-            mfac = (s * dstr).reshape(-1, 3)
-            mloc_pml = np.einsum("tq,q,qi,qj->tij", mfac, _W2, _Q2, _Q2)
-            Mm[pml] = (self.kappa_o**2 * cache.area[pml])[:, None, None] * mloc_pml
-
-        A = cache.scatter_matrix(S - Mm)
-
+    def _load(self, tris, J, det, y):
         # incident-wave source, supported where coefficients deviate from
         # the background (the inner region)
-        inner = self._inner
-        bt = np.zeros((m, 3), dtype=complex)
-        if inner.size:
-            pts = cache.quad[inner].reshape(-1, 2)
-            bands = np.repeat(mesh.band[inner], 3)
-            K, detq = transformed_coefficients(self.dm, y, pts, bands)
-            mapped = map_forward(self.dm, y, pts)
-            uinc = np.exp(1j * self.kappa_o * (mapped @ self.direction))
-            # grad of the pulled-back incident wave: J^T (i kappa_o dhat) uinc
-            J = map_jacobian(self.dm, y, pts, bands)
-            ginc = np.einsum("ped,e->pd", J, self.direction) * (
-                1j * self.kappa_o * uinc)[:, None]
-            flux = np.einsum("pde,pe->pd", K, ginc).reshape(-1, 3, 2)
-            stiff_term = np.einsum("tqd,tid->tqi", (self.alpha_i - 1.0) * flux,
-                                   cache.grads[inner])
-            mass_term = ((self.kappa_i**2 - self.kappa_o**2)
-                         * (detq * uinc).reshape(-1, 3))
-            integrand = -stiff_term + np.einsum("tq,qi->tqi", mass_term, _Q2)
-            bt[inner] = cache.area[inner][:, None] * np.einsum(
-                "q,tqi->ti", _W2, integrand)
-        b = cache.scatter_vector(bt)
-        return A, b
+        cache = self.cache
+        inner = self._inner[tris]
+        t, J = tris[inner], J[inner]
+        mapped = map_forward(self.dm, y, cache.quad[t])
+        uinc = np.exp(1j * self.kappa_o * (mapped @ self.direction))
+        # grad of the pulled-back incident wave: J^T (i kappa_o dhat) uinc
+        ginc = np.einsum("tqed,e->tqd", J, self.direction) * (
+            1j * self.kappa_o * uinc)[..., None]
+        flux = np.einsum("tqde,tqe->tqd", _pullback(J)[0], ginc)
+        stiff_term = np.einsum("tqd,tid->tqi", (self.alpha_i - 1.0) * flux,
+                               cache.grads[t])
+        mass_term = (self.kappa_i**2 - self.kappa_o**2) * det[inner] * uinc
+        integrand = -stiff_term + np.einsum("tq,qi->tqi", mass_term, _Q2)
+        bt = np.zeros((tris.size, 3), dtype=complex)
+        bt[inner] = cache.area[t][:, None] * np.einsum("q,tqi->ti", _W2, integrand)
+        return bt
+
+    def assemble(self, y):
+        """Stiffness minus mass matrix and load vector on interior dofs."""
+        return self._assemble(y)
 
     def solve(self, y):
         A, b = self.assemble(y)
@@ -355,12 +348,11 @@ class HelmholtzProblem:
             raise SolverError(f"LU failed for y={np.asarray(y)!r}: {exc}", y) from exc
         us = self.cache.embed(us_int, self.mesh.n_vertices, dtype=complex)
 
-        rho = np.hypot(self.mesh.vertices[:, 0], self.mesh.vertices[:, 1])
-        pml_mask = rho > self.R + 1e-12
-        mapped = map_forward(self.dm, y, self.mesh.vertices[~pml_mask])
+        phys = ~self._pml_mask
+        mapped = map_forward(self.dm, y, self.mesh.vertices[phys])
         total = us.copy()
-        total[~pml_mask] += np.exp(1j * self.kappa_o * (mapped @ self.direction))
-        return ScalarField(self.mesh, total, scattered=us, pml_mask=pml_mask)
+        total[phys] += np.exp(1j * self.kappa_o * (mapped @ self.direction))
+        return ScalarField(self.mesh, total, scattered=us, pml_mask=self._pml_mask)
 
 
 def evaluate_qoi(field, dm, y, points, kind):
@@ -382,13 +374,13 @@ def evaluate_qoi(field, dm, y, points, kind):
 
 def l2_error(field, exact, physical_only=False):
     """Relative L2 distance between a P1 field and a callable reference."""
-    cache = _FemCache(field.mesh)
-    pts = cache.quad_err
-    uh = np.einsum("qi,ti->tq", _Q4, field.data[cache.tri])
+    mesh = field.mesh
+    pts = np.einsum("qi,tid->tqd", _Q4, mesh.vertices[mesh.triangles])
+    uh = np.einsum("qi,ti->tq", _Q4, field.data[mesh.triangles])
     ue = exact(pts.reshape(-1, 2)).reshape(pts.shape[0], -1)
-    w = cache.area[:, None] * _W4[None, :]
+    w = mesh.areas()[:, None] * _W4[None, :]
     if physical_only:
-        w = w * (field.mesh.band != BAND_PML)[:, None]
+        w = w * (mesh.band != BAND_PML)[:, None]
     num = np.sum(w * np.abs(uh - ue) ** 2)
     den = np.sum(w * np.abs(ue) ** 2)
     return float(np.sqrt(num / den))

@@ -485,7 +485,8 @@ def _ensure_dataset(config, split, out_dir, workers, reuse, binary=False):
     base = Path(out_dir) / f"{config.tag()}-{split}"
     if reuse and dataset_exists(base):
         ds = load_dataset(base, config)
-        if ds.n >= n:
+        # the file name holds no seed, so a stored stream may be another one
+        if ds.n >= n and ds.meta["seed"] == seed:
             return Dataset(ds.samples[:n], ds.qoi[:n], ds.meta)
     ds = gen_data(config, n, seed, workers)
     save_dataset(ds, base, binary)
@@ -696,9 +697,7 @@ def _emit_figure(out, name, axes, cells):
         if len(s["x"]) >= 2 and min(s["x"]) > 0:
             a, b = plotting.fit_log_line(s["x"], s["y"])
             fits[s["label"]] = {"intercept": a, "slope": b}
-    with open(out / f"{name}.fits.json", "w") as fh:
-        json.dump(fits, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / f"{name}.fits.json", fits)
     svg = plotting.render_plot(series, title=name, xlabel=x_axis,
                                ylabel="test error")
     plotting.write_svg(out / f"{name}.svg", svg)

@@ -296,6 +296,15 @@ def test_run_experiment_reuses_saved_datasets(tmp_path):
     assert second["test_error"] == first["test_error"]
 
 
+def test_reuse_regenerates_datasets_of_another_seed(tmp_path):
+    pl.run_experiment(tiny_config(seed=9), out_dir=tmp_path)
+    reused = pl.run_experiment(tiny_config(seed=10), out_dir=tmp_path)
+    fresh = pl.run_experiment(tiny_config(seed=10), out_dir=tmp_path / "fresh")
+    assert reused["dataset"]["train_seed"] == 10
+    assert reused["dataset"]["test_seed"] == fresh["dataset"]["test_seed"]
+    assert reused["test_error"] == fresh["test_error"]
+
+
 def test_run_experiment_deterministic(tmp_path):
     r1 = pl.run_experiment(tiny_config(), out_dir=tmp_path / "a")
     r2 = pl.run_experiment(tiny_config(), out_dir=tmp_path / "b")
@@ -353,7 +362,9 @@ def test_sweep_figure_outputs(tmp_path):
     summary = pl.sweep(base, {"d": [4, 8]}, tmp_path, kind="figure", name="dims")
     assert all("value" in c for c in summary["cells"])
     assert (tmp_path / "dims.series.csv").exists()
-    fits = json.loads((tmp_path / "dims.fits.json").read_text())
+    text = (tmp_path / "dims.fits.json").read_text()
+    fits = json.loads(text)
+    assert text == json.dumps(fits, indent=1, sort_keys=True) + "\n"
     (series_fit,) = fits.values()
     assert np.isfinite(series_fit["slope"])
     svg = (tmp_path / "dims.svg").read_text()
