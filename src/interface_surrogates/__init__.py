@@ -31,9 +31,11 @@ from .geometry import (
 )
 from .linalg import (
     NotConvergedError,
+    NotFiniteError,
     SingularMatrixError,
     assemble_csr,
     cg_solve,
+    lu_factor,
     lu_solve,
 )
 from .mesh import (

@@ -2,11 +2,18 @@
 
 Matrices are scipy CSR (row offsets, column indices, values); Helmholtz
 systems are stored as native complex CSR rather than a 2n x 2n real block
-form.  The conjugate gradient loop is written out so iteration counts and
-the preconditioned residual history are available to callers and tests;
-the direct solver wraps a supernodal LU with fill-reducing ordering and
-partial pivoting, with an explicit zero-pivot check.
+form.  The conjugate gradient loop is written out so iteration counts, the
+preconditioned residual history and the true final residual are available
+to callers and tests.  Its inner products are unconjugated, so on a
+complex-symmetric matrix (A = A^T, not Hermitian) the same loop is the
+conjugate orthogonal CG method (COCG); the Helmholtz problem runs it
+preconditioned by an LU factorization of its nominal matrix (lu_factor).
+lu_solve is the one-shot direct solver, with partial pivoting and an
+explicit zero-pivot check, kept as the reference the iterative path is
+tested against.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +33,10 @@ class SingularMatrixError(RuntimeError):
     pass
 
 
+class NotFiniteError(RuntimeError):
+    """An iterative solve produced a non-finite iterate."""
+
+
 def assemble_csr(rows, cols, vals, n):
     """Sum duplicate COO triplets into an n x n CSR matrix."""
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
@@ -33,53 +44,90 @@ def assemble_csr(rows, cols, vals, n):
 
 
 def cg_solve(A, b, tol=1e-10, maxit=20_000, precond="jacobi"):
-    """Preconditioned conjugate gradients for SPD systems.
+    """Preconditioned conjugate gradients for SPD or complex-symmetric systems.
 
-    Stops when ||r||_2 <= tol * ||b||_2.  Returns (x, info) where info
-    carries the iteration count and the preconditioned residual norm
-    history sqrt(r' M^-1 r), which decreases monotonically for SPD A in
-    exact arithmetic.  Raises NotConvergedError past maxit.
+    precond is "jacobi", "none" (or None), or a callable r -> M^-1 r.  With
+    complex A and b the unconjugated products r^T z and p^T A p make this
+    COCG, which needs A = A^T (and M symmetric) rather than A Hermitian.
+
+    Stops when ||r||_2 <= tol * ||b||_2 for the recursively updated
+    residual r.  Returns (x, info) where info carries the iteration count,
+    the preconditioned residual norm history sqrt|r^T M^-1 r| (monotone
+    for SPD A and M in exact arithmetic) and the true final residual
+    ||b - A x|| / ||b||, which costs one more product with A.  Raises
+    NotConvergedError past maxit and NotFiniteError when the residual or
+    x stops being finite.
     """
     A = A.tocsr() if not sp.issparse(A) else A
-    b = np.asarray(b, dtype=float)
+    b = np.asarray(b)
     n = b.shape[0]
-    if precond == "jacobi":
+    if callable(precond):
+        apply = precond
+    elif precond == "jacobi":
         diag = A.diagonal().astype(float)
         if np.any(diag <= 0):
             raise SingularMatrixError("non-positive diagonal entry; matrix not SPD")
         minv = 1.0 / diag
+
+        def apply(r):
+            return minv * r
     elif precond is None or precond == "none":
-        minv = np.ones(n)
+        apply = np.copy
     else:
         raise ValueError(f"unknown preconditioner {precond!r}")
 
-    x = np.zeros(n)
-    r = b.copy()
+    x = np.zeros(n, dtype=np.result_type(A.dtype, b.dtype, float))
+    r = b.astype(x.dtype)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return x, {"iterations": 0, "residual_norms": [0.0]}
+        return x, {"iterations": 0, "residual_norms": [0.0], "residual": 0.0}
 
-    z = minv * r
+    real = not np.iscomplexobj(x)
+    z = apply(r)
     p = z.copy()
     rz = r @ z
-    history = [np.sqrt(rz)]
+    history = [np.sqrt(abs(rz))]
     for it in range(1, maxit + 1):
         Ap = A @ p
         pAp = p @ Ap
-        if pAp <= 0:
-            raise SingularMatrixError("matrix is not positive definite")
+        if pAp == 0 or (real and pAp < 0):
+            raise SingularMatrixError("matrix is not positive definite" if real
+                                      else "COCG breakdown: p^T A p = 0")
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = minv * r
+        z = apply(r)
         rz_new = r @ z
-        history.append(np.sqrt(max(rz_new, 0.0)))
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x, {"iterations": it, "residual_norms": history}
+        history.append(np.sqrt(abs(rz_new)))
+        rnorm = np.linalg.norm(r)
+        if not math.isfinite(rnorm):
+            raise NotFiniteError(f"non-finite residual at iteration {it}")
+        if rnorm <= tol * bnorm:
+            if not np.all(np.isfinite(x)):
+                raise NotFiniteError(f"non-finite solution after {it} iterations")
+            residual = np.linalg.norm(b - A @ x) / bnorm
+            return x, {"iterations": it, "residual_norms": history,
+                       "residual": float(residual)}
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
     raise NotConvergedError(maxit, np.linalg.norm(r) / bnorm)
+
+
+def lu_factor(A):
+    """Supernodal LU of A for repeated solves, ordered by minimum degree on
+    A^T + A, which on the (structurally symmetric) FEM matrices keeps about
+    half the fill of COLAMD.
+
+    Returns scipy's SuperLU object; its .solve applies A^-1.  Raises
+    SingularMatrixError when SuperLU meets an exactly zero pivot.  The
+    factor's U is never built for a pivot check: a factor used as a
+    preconditioner shows a tiny pivot as slow or failed convergence.
+    """
+    try:
+        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SingularMatrixError(str(exc)) from exc
 
 
 def lu_solve(A, b):

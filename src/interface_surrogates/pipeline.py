@@ -25,6 +25,7 @@ from . import plotting, surrogate
 from .geometry import DomainMap, InterfaceModel, max_shape_variation
 from .mesh import build_disk_mesh, build_square_mesh
 from .pde import (
+    COCG_TOL,
     EllipticProblem,
     HelmholtzProblem,
     SolverError,
@@ -397,7 +398,7 @@ def gen_data(config, n=None, seed=None, workers=1):
     if config.problem == "elliptic":
         solver = {"method": "jacobi-cg", "tol": config.cg_tol}
     else:
-        solver = {"method": "sparse-lu"}
+        solver = {"method": "nominal-lu-cocg", "tol": COCG_TOL}
     meta = {
         "config": config.to_dict(),
         "config_hash": config.data_hash(),

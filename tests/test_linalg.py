@@ -6,9 +6,11 @@ import scipy.sparse as sp
 
 from interface_surrogates.linalg import (
     NotConvergedError,
+    NotFiniteError,
     SingularMatrixError,
     assemble_csr,
     cg_solve,
+    lu_factor,
     lu_solve,
 )
 
@@ -77,6 +79,47 @@ def test_cg_rejects_indefinite():
     A = sp.csr_matrix(np.diag([1.0, -1.0, 2.0]))
     with pytest.raises(SingularMatrixError):
         cg_solve(A, np.ones(3))
+
+
+def test_cocg_complex_symmetric_with_factor_preconditioner():
+    # complex-symmetric (A = A^T, not Hermitian) perturbation of a nominal
+    # matrix, preconditioned by the nominal LU factor as the Helmholtz solve is
+    rng = np.random.default_rng(11)
+    n = 90
+    Q = rng.normal(size=(n, n))
+    nominal = (Q + Q.T) / 4 + n * np.eye(n) + 1j * np.diag(rng.uniform(1, 5, n))
+    E = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    A_dense = nominal + 0.5 * (E + E.T)
+    assert np.array_equal(A_dense, A_dense.T)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    factor = lu_factor(sp.csr_matrix(nominal))
+    x, info = cg_solve(sp.csr_matrix(A_dense), b, tol=1e-12, precond=factor.solve)
+    exact = np.linalg.solve(A_dense, b)
+    assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+    assert info["iterations"] < 30
+    true_res = np.linalg.norm(b - A_dense @ x) / np.linalg.norm(b)
+    assert info["residual"] == pytest.approx(true_res, rel=1e-3, abs=1e-15)
+    assert info["residual"] <= 1e-11
+
+
+def test_cg_reports_true_residual():
+    A = laplacian_1d(40)
+    b = np.ones(40)
+    x, info = cg_solve(A, b, tol=1e-10)
+    true_res = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    assert info["residual"] == pytest.approx(true_res, rel=1e-12, abs=1e-300)
+
+
+def test_cg_raises_on_non_finite_iterate():
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, np.nan]]))
+    with pytest.raises(NotFiniteError):
+        cg_solve(A, np.ones(2), precond="none")
+
+
+def test_lu_factor_detects_exact_singularity():
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(SingularMatrixError):
+        lu_factor(A)
 
 
 def test_assemble_sums_duplicates():

@@ -1,9 +1,13 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from interface_surrogates import pde
+from interface_surrogates import linalg, pde, pipeline
 from interface_surrogates.geometry import DomainMap, InterfaceModel, map_forward
-from interface_surrogates.linalg import SingularMatrixError
+from interface_surrogates.linalg import NotConvergedError, SingularMatrixError
 from interface_surrogates.mesh import build_disk_mesh
 from interface_surrogates.pde import (
     HelmholtzProblem,
@@ -121,13 +125,93 @@ def test_requires_absorbing_layer(dm):
         HelmholtzProblem(bare, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
 
 
-def test_singular_system_raises_solver_error(mesh, dm, monkeypatch):
-    def singular(A, b):
-        raise SingularMatrixError("zero pivot")
+def _fail(error):
+    def raising(*args, **kwargs):
+        raise error
+    return raising
 
-    monkeypatch.setattr(pde, "lu_solve", singular)
+
+def test_singular_system_raises_solver_error(mesh, dm, monkeypatch):
+    monkeypatch.setattr(pde, "cg_solve", _fail(SingularMatrixError("zero pivot")))
     prob = HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
     y = np.full(8, 0.3)
-    with pytest.raises(SolverError, match="zero pivot") as err:
+    with pytest.raises(SolverError, match="COCG failed.*zero pivot") as err:
         prob.solve(y)
     np.testing.assert_array_equal(err.value.y, y)
+
+
+def test_singular_nominal_factor_raises_solver_error(mesh, dm, monkeypatch):
+    monkeypatch.setattr(pde, "lu_factor", _fail(SingularMatrixError("exactly singular")))
+    prob = HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
+    y = np.full(8, -0.2)
+    with pytest.raises(SolverError, match="exactly singular") as err:
+        prob.solve(y)
+    np.testing.assert_array_equal(err.value.y, y)
+
+
+def test_not_converged_raises_solver_error(mesh, dm, monkeypatch):
+    monkeypatch.setattr(pde, "COCG_MAXIT", 2)
+    prob = HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
+    y = np.full(8, 0.5)
+    with pytest.raises(SolverError, match="did not converge in 2") as err:
+        prob.solve(y)
+    assert isinstance(err.value.__cause__, NotConvergedError)
+    np.testing.assert_array_equal(err.value.y, y)
+
+
+def test_residual_above_bound_raises_solver_error(mesh, dm, monkeypatch):
+    monkeypatch.setattr(pde, "RESIDUAL_BOUND", 0.0)
+    prob = HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
+    y = np.full(8, 0.1)
+    with pytest.raises(SolverError, match="true residual") as err:
+        prob.solve(y)
+    np.testing.assert_array_equal(err.value.y, y)
+
+
+def test_solver_stats_recorded(mesh, dm):
+    field = HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O).solve(np.full(8, 0.4))
+    assert 0 < field.info["iterations"] <= 30
+    assert 0.0 < field.info["residual"] <= pde.RESIDUAL_BOUND
+
+
+# ----------------------------------- nominal-LU COCG against the direct solve
+
+DESK = pipeline.preset("desk-helmholtz")
+EQUIVALENCE_CONFIGS = {
+    "desk": DESK,
+    "d16-p1": dataclasses.replace(DESK, d=16, p=1.0),
+    "alpha1000": dataclasses.replace(DESK, alpha_i=1000.0),
+    "alpha1-d16": dataclasses.replace(DESK, alpha_i=1.0, d=16),
+}
+
+
+def _direct(A, b, **kwargs):
+    return linalg.lu_solve(A, b), {"iterations": 0, "residual": 0.0}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
+def test_cocg_matches_direct_solve(name, monkeypatch):
+    # ROADMAP aim 3: a solver change reproduces the QoI to 1e-9 relative
+    ws = pipeline.Workspace(EQUIVALENCE_CONFIGS[name])
+    ys = [pipeline.sample_parameters(17, k, ws.config.d) for k in range(3)]
+    iterative = [ws.solve(y) for y in ys]
+    monkeypatch.setattr(pde, "cg_solve", _direct)
+    for y, q in zip(ys, iterative):
+        np.testing.assert_allclose(q, ws.solve(y), rtol=1e-9, atol=0)
+
+
+def test_nominal_matrix_factored_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return spla.splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "spla", types.SimpleNamespace(splu=counting))
+    ws = pipeline.Workspace(DESK)
+    ys = [pipeline.sample_parameters(5, k, DESK.d) for k in range(3)]
+    ws.problem.assemble(ys[0])
+    assert calls == []
+    for y in ys:
+        ws.solve(y)
+    assert len(calls) == 1

@@ -211,7 +211,7 @@ def test_gen_data_helmholtz_sanity():
     assert np.all(np.isfinite(ds.qoi)) and np.all(ds.qoi > 0)
     norms = np.linalg.norm(ds.qoi, axis=1)
     assert np.all(norms < 10.0 * np.sqrt(cfg.n_points))  # max |u_inc| = 1
-    assert ds.meta["solver"]["method"] == "sparse-lu"
+    assert ds.meta["solver"] == {"method": "nominal-lu-cocg", "tol": 1e-12}
 
 
 def test_dataset_invariants():
