@@ -84,6 +84,9 @@ class Mesh:
     # -- point location ---------------------------------------------------
 
     def _build_grid(self):
+        """Uniform grid of square cells as wide as the largest triangle
+        bounding box.  Each cell's triangles form a CSR bucket: the ids of
+        cell c = i * ny + j are members[offsets[c]:offsets[c + 1]], ascending."""
         v = self.vertices[self.triangles]
         lo = v.min(axis=1)
         hi = v.max(axis=1)
@@ -96,14 +99,17 @@ class Mesh:
         jl = np.clip(((lo[:, 1] - box_lo[1]) / cell).astype(int), 0, ny - 1)
         ih = np.clip(((hi[:, 0] - box_lo[0]) / cell).astype(int), 0, nx - 1)
         jh = np.clip(((hi[:, 1] - box_lo[1]) / cell).astype(int), 0, ny - 1)
-        cells = {}
-        for t in range(self.n_triangles):
-            for i in range(il[t], ih[t] + 1):
-                for j in range(jl[t], jh[t] + 1):
-                    cells.setdefault((i, j), []).append(t)
-        for key in cells:
-            cells[key] = np.array(cells[key], dtype=np.int64)
-        self._grid = (box_lo, cell, nx, ny, cells)
+        # one entry per (triangle, covered cell), triangles in ascending order
+        wj = jh - jl + 1
+        count = (ih - il + 1) * wj
+        tri = np.repeat(np.arange(self.n_triangles), count)
+        k = _ranks(count)
+        cells = (il[tri] + k // wj[tri]) * ny + jl[tri] + k % wj[tri]
+        # a stable sort keeps each bucket's ids ascending
+        members = tri[np.argsort(cells, kind="stable")]
+        offsets = np.zeros(nx * ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cells, minlength=nx * ny), out=offsets[1:])
+        self._grid = (box_lo, cell, nx, ny, offsets, members)
 
     def locate(self, points, tol=1e-8):
         """Return (triangle index, barycentric coords) for each query point.
@@ -113,37 +119,45 @@ class Mesh:
         """
         if self._grid is None:
             self._build_grid()
-        box_lo, cell, nx, ny, cells = self._grid
+        box_lo, cell, nx, ny, offsets, members = self._grid
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        tri_idx = np.full(points.shape[0], -1, dtype=np.int64)
-        lams = np.zeros((points.shape[0], 3))
-        verts = self.vertices
-        tris = self.triangles
-        for k, pt in enumerate(points):
-            i = min(max(int((pt[0] - box_lo[0]) / cell), 0), nx - 1)
-            j = min(max(int((pt[1] - box_lo[1]) / cell), 0), ny - 1)
-            cand = cells.get((i, j))
-            if cand is None:
-                raise MeshError(f"point {pt} outside the mesh")
-            for t in cand:
-                a, b, c = verts[tris[t]]
-                det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-                l1 = ((pt[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (pt[1] - a[1])) / det
-                l2 = ((b[0] - a[0]) * (pt[1] - a[1]) - (pt[0] - a[0]) * (b[1] - a[1])) / det
-                l0 = 1.0 - l1 - l2
-                if l0 >= -tol and l1 >= -tol and l2 >= -tol:
-                    tri_idx[k] = t
-                    lams[k] = (l0, l1, l2)
-                    break
-            else:
-                raise MeshError(f"point {pt} outside the mesh (snap tolerance {tol})")
-        return tri_idx, lams
+        # fmax/fmin send a NaN coordinate to cell 0, where no triangle passes
+        ij = np.fmin(np.fmax((points - box_lo) / cell, 0), (nx - 1, ny - 1)).astype(int)
+        cells = ij[:, 0] * ny + ij[:, 1]
+        first = offsets[cells]
+        count = offsets[cells + 1] - first
+        # every (point, candidate triangle) pair, grouped by point in bucket order
+        owner = np.repeat(np.arange(points.shape[0]), count)
+        t = members[np.repeat(first, count) + _ranks(count)]
+        a, b, c = self.vertices[self.triangles[t]].transpose(1, 2, 0)
+        px, py = points[owner].T
+        det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+        l1 = ((px - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (py - a[1])) / det
+        l2 = ((b[0] - a[0]) * (py - a[1]) - (px - a[0]) * (b[1] - a[1])) / det
+        l0 = 1.0 - l1 - l2
+        hit = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))
+        # the first passing candidate of each point has the lowest index
+        hit = hit[np.unique(owner[hit], return_index=True)[1]]
+        found = np.zeros(points.shape[0], dtype=bool)
+        found[owner[hit]] = True
+        if not found.all():
+            k = np.argmin(found)
+            if count[k] == 0:
+                raise MeshError(f"point {points[k]} outside the mesh")
+            raise MeshError(
+                f"point {points[k]} outside the mesh (snap tolerance {tol})")
+        return t[hit], np.stack([l0[hit], l1[hit], l2[hit]], axis=1)
 
     def interpolate(self, nodal, points):
         """P1 interpolation of nodal values at the given points."""
         tri_idx, lams = self.locate(points)
         vals = np.asarray(nodal)[self.triangles[tri_idx]]
         return (vals * lams).sum(axis=1)
+
+
+def _ranks(count):
+    """0, 1, ..., count[k] - 1 for each k, concatenated."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
 
 
 def _size_field(rho, r0, h_interface, h_far, pml_start=None, pml_h=None):

@@ -176,11 +176,14 @@ class _FemCache:
         self.slots = slots.reshape(-1, 9)
         self.dof_slots = np.where(d >= 0, d, n)
 
+    def matrix_sum(self, tris, S):
+        """Element matrices S of triangles tris, summed into CSR values."""
+        return _bincount(self.slots[tris], S, self.nnz)
+
     def sums(self, tris, S, bt):
         """Element matrices S and loads bt of triangles tris, summed into CSR
         values and an interior-dof load vector."""
-        return (_bincount(self.slots[tris], S, self.nnz),
-                _bincount(self.dof_slots[tris], bt, self.n_int))
+        return self.matrix_sum(tris, S), _bincount(self.dof_slots[tris], bt, self.n_int)
 
     def embed(self, u_int, n, dtype=float):
         u = np.zeros(n, dtype=dtype)
@@ -197,8 +200,8 @@ class _MappedProblem:
     y = 0 where the map is the identity; _assemble(y) adds the rest.
     """
 
-    def _sums(self, tris, J, y):
-        """Summed element matrices and loads of triangles tris, given the
+    def _element_matrices(self, tris, J):
+        """Element matrices (t, 3, 3) of triangles tris and detJ, given the
         Jacobian J of shape (t, 3, 2, 2) at their quadrature points."""
         cache = self.cache
         K, det = _pullback(J)
@@ -207,7 +210,12 @@ class _MappedProblem:
         coef = (self._alpha[tris] * area)[:, None, None] * Kbar
         mass = (self._kappa2[tris] * area)[:, None] * (det @ _MASS)
         S = np.einsum("tid,tde,tje->tij", grads, coef, grads) - mass.reshape(-1, 3, 3)
-        return cache.sums(tris, S, self._load(tris, J, det, y))
+        return S, det
+
+    def _sums(self, tris, J, y):
+        """Summed element matrices and loads of triangles tris."""
+        S, det = self._element_matrices(tris, J)
+        return self.cache.sums(tris, S, self._load(tris, J, det, y))
 
     def _fix(self, J):
         """Sum the fixed triangles once; J is I there except in a PML."""
@@ -318,12 +326,12 @@ class HelmholtzProblem(_MappedProblem):
 
     def _nominal_factor(self):
         """LU factor of A(0): the map is the identity at y = 0, so the band
-        triangles are summed with J = I, like the fixed ones."""
+        triangles are summed with J = I, like the fixed ones, and no load."""
         if self._factor is None:
             moving = self.cache.moving
             J = np.tile(np.eye(2), (moving.size, 3, 1, 1))
-            values, _ = self._sums(moving, J, np.zeros(self.dm.model.d))
-            self._factor = lu_factor(self._matrix(values))
+            S, _ = self._element_matrices(moving, J)
+            self._factor = lu_factor(self._matrix(self.cache.matrix_sum(moving, S)))
         return self._factor
 
     def _pml_jacobian(self, qp):

@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -320,7 +319,10 @@ class Workspace:
 
     def solve(self, y):
         field = self.problem.solve(y)
-        return evaluate_qoi(field, self.dm, y, self.points, self.kind)
+        q = evaluate_qoi(field, self.dm, y, self.points, self.kind)
+        if not np.isfinite(q).all():
+            raise SolverError(f"non-finite QoI {q.tolist()} for y={np.asarray(y)!r}", y)
+        return q
 
 
 _WORKER_WS = None
@@ -415,16 +417,9 @@ def gen_data(config, n=None, seed=None, workers=1):
 
 
 def _write_json(path, obj):
-    """Write obj to a temp file beside path, then rename it over path, so
-    an interrupted write never leaves path truncated."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(obj, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with surrogate.atomic_open(path) as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _paths(base, binary):
@@ -442,10 +437,12 @@ def save_dataset(ds, base, binary=False):
     paths = _paths(base, binary)
     paths["meta"].parent.mkdir(parents=True, exist_ok=True)
     if binary:
-        np.savez_compressed(paths["data"], samples=ds.samples, qoi=ds.qoi)
+        with surrogate.atomic_open(paths["data"], "wb") as fh:
+            np.savez_compressed(fh, samples=ds.samples, qoi=ds.qoi)
     else:
-        np.savetxt(paths["samples"], ds.samples, fmt="%.17g", delimiter=",")
-        np.savetxt(paths["qoi"], ds.qoi, fmt="%.17g", delimiter=",")
+        for key in ("samples", "qoi"):
+            with surrogate.atomic_open(paths[key]) as fh:
+                np.savetxt(fh, getattr(ds, key), fmt="%.17g", delimiter=",")
     _write_json(paths["meta"], ds.meta)
     return paths
 
@@ -480,17 +477,17 @@ def load_dataset(base, config=None):
     return Dataset(samples, qoi, meta)
 
 
-def _ensure_dataset(config, split, out_dir, workers, reuse, binary=False):
+def _ensure_dataset(config, split, out_dir, workers, reuse, stem):
     n = config.n_train if split == "train" else config.n_test
     seed = config.seed if split == "train" else config.seed + TEST_STREAM
-    base = Path(out_dir) / f"{config.tag()}-{split}"
+    base = Path(out_dir) / f"{stem}-{split}"
     if reuse and dataset_exists(base):
         ds = load_dataset(base, config)
         # the file name holds no seed, so a stored stream may be another one
         if ds.n >= n and ds.meta["seed"] == seed:
             return Dataset(ds.samples[:n], ds.qoi[:n], ds.meta)
     ds = gen_data(config, n, seed, workers)
-    save_dataset(ds, base, binary)
+    save_dataset(ds, base)
     return ds
 
 
@@ -543,13 +540,17 @@ def train_on_datasets(config, train_ds, test_ds, out_dir=None, tag=None):
     return net, record
 
 
-def run_experiment(config, out_dir=None, workers=1, reuse=True):
-    """Generate or load datasets for config, train, persist, return record."""
+def run_experiment(config, out_dir=None, workers=1, reuse=True, tag=None):
+    """Generate or load datasets for config, train, persist, return record.
+
+    Files are named after tag, config.tag() by default.
+    """
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_ds = _ensure_dataset(config, "train", out, workers, reuse)
-    test_ds = _ensure_dataset(config, "test", out, workers, reuse)
-    _, record = train_on_datasets(config, train_ds, test_ds, out)
+    tag = tag or config.tag()
+    train_ds = _ensure_dataset(config, "train", out, workers, reuse, tag)
+    test_ds = _ensure_dataset(config, "test", out, workers, reuse, tag)
+    _, record = train_on_datasets(config, train_ds, test_ds, out, tag)
     return record
 
 
@@ -564,6 +565,15 @@ def _axis_values(base, axes):
             raise PipelineError(f"unknown sweep axis {name!r}")
     for combo in itertools.product(*(axes[n] for n in names)):
         yield dict(zip(names, combo))
+
+
+def _axis_suffix(config, overrides):
+    """-<axis><value> for each swept axis that config.tag() leaves out, so
+    that every cell of a sweep writes its own files."""
+    tagged = {"problem", "d", "p", "alpha_i", "n_points"}
+    if config.problem == "helmholtz":
+        tagged |= {"kappa_o", "kappa_i"}
+    return "".join(f"-{k}{v:g}" for k, v in overrides.items() if k not in tagged)
 
 
 def _slice_points(ds, config):
@@ -587,7 +597,9 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
     With an n_points axis, cells whose count divides the largest count
     share one dataset pair generated at that count: the evaluation circle
     at count m is a subset of the circle at count k*m, so the QoI matrix
-    is column-sliced per cell.  A failed cell is recorded and skipped;
+    is column-sliced per cell.  A cell's files are named after its tag,
+    cfg.tag() plus -<axis><value> for each swept axis that the tag leaves
+    out.  A failed cell is recorded and skipped;
     completed cells are kept in NAME.cells.json, rewritten after each cell.
     """
     out = Path(out_dir)
@@ -602,15 +614,17 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
         cell = {"axes": overrides}
         try:
             cfg = dataclasses.replace(base_config, **overrides)
-            cell["tag"] = cfg.tag()
+            suffix = _axis_suffix(cfg, overrides)
+            cell["tag"] = cfg.tag() + suffix
             if kind == "geometry":
                 model = InterfaceModel(cfg.nominal_radius(), cfg.d, cfg.p, cfg.c)
                 cell["value"] = 100.0 * max_shape_variation(model)
             elif top is not None and top % cfg.n_points == 0:
                 cell["value"] = _shared_cell(cfg, top, shared, out, workers,
-                                             reuse)["test_error"]
+                                             reuse, suffix)["test_error"]
             else:
-                record = run_experiment(cfg, out, workers=workers, reuse=reuse)
+                record = run_experiment(cfg, out, workers=workers, reuse=reuse,
+                                        tag=cell["tag"])
                 cell["value"] = record["test_error"]
         except (PipelineError, SolverError, ArithmeticError, ValueError) as exc:
             cell["error"] = str(exc)
@@ -624,19 +638,21 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
     return {"axes": axes, "kind": kind, "cells": cells}
 
 
-def _shared_cell(cfg, top, shared, out, workers, reuse):
+def _shared_cell(cfg, top, shared, out, workers, reuse, suffix):
     """Train cfg on its columns of the dataset pair generated at top points.
 
     shared maps what decides dataset content (data hash, seed, sample
-    counts) to the pair, so each pair is generated or loaded once.
+    counts) to the pair, so each pair is generated or loaded once.  File
+    names carry the cell's axis suffix.
     """
     big = dataclasses.replace(cfg, n_points=top)
     key = (big.data_hash(), big.seed, big.n_train, big.n_test)
     if key not in shared:
-        shared[key] = [_ensure_dataset(big, split, out, workers, reuse)
+        shared[key] = [_ensure_dataset(big, split, out, workers, reuse,
+                                       big.tag() + suffix)
                        for split in ("train", "test")]
     train_ds, test_ds = (_slice_points(ds, cfg) for ds in shared[key])
-    return train_on_datasets(cfg, train_ds, test_ds, out)[1]
+    return train_on_datasets(cfg, train_ds, test_ds, out, cfg.tag() + suffix)[1]
 
 
 def _cell_lookup(cells):

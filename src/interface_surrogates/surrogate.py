@@ -5,8 +5,11 @@ hand-written reverse pass is both faster to verify and bit-reproducible.
 Training runs full batch with multi-restart selection by test error.
 """
 
+import contextlib
+import os
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -241,9 +244,24 @@ def train(train_set, test_set, widths, epochs, restarts=1, base_seed=0,
     return best[0], best[1], reports
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Open a temp file beside path for writing and rename it over path
+    once the block completes, so an interrupted write never leaves path
+    half-written; the temp file is removed either way."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_network(net, path):
     """Versioned binary checkpoint: widths, slope, row-major weights."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(net.widths)))
         fh.write(struct.pack(f"<{len(net.widths)}I", *net.widths))

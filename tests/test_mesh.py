@@ -140,6 +140,93 @@ def test_locate_rejects_outside(square_coarse):
         square_coarse.locate(np.array([[1.5, 0.0]]))
 
 
+def brute_locate(mesh, points, tol=1e-8):
+    """Scan every triangle; keep the lowest index passing the barycentric test."""
+    a, b, c = mesh.vertices[mesh.triangles].transpose(1, 2, 0)
+    det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+    idx, lams = [], []
+    for px, py in points:
+        l1 = ((px - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (py - a[1])) / det
+        l2 = ((b[0] - a[0]) * (py - a[1]) - (px - a[0]) * (b[1] - a[1])) / det
+        l0 = 1.0 - l1 - l2
+        t = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))[0]
+        idx.append(t)
+        lams.append((l0[t], l1[t], l2[t]))
+    return np.array(idx), np.array(lams)
+
+
+def edge_midpoints(mesh):
+    tris = mesh.triangles.astype(np.int64)
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    edges = np.unique(np.sort(edges, axis=1), axis=0)
+    return mesh.vertices[edges].mean(axis=1)
+
+
+@pytest.mark.parametrize("name", ["square", "disk"])
+def test_locate_matches_brute_force(name, square_coarse):
+    # a unit disk with an absorbing annulus, coarse enough for the brute force
+    mesh = (square_coarse if name == "square"
+            else build_disk_mesh(0.5, 0.125, 1.0, 1.0, 0.2, 0.4))
+    rng = np.random.default_rng(11)
+    rnd = rng.uniform(mesh.vertices.min(axis=0), mesh.vertices.max(axis=0), (400, 2))
+    if name == "disk":
+        rnd = rnd[np.hypot(*rnd.T) < 0.99 * mesh.circles[-1]]
+    # vertices and edge midpoints lie on several triangles: ties
+    pts = np.concatenate([rnd, mesh.vertices, edge_midpoints(mesh)])
+    idx, lam = mesh.locate(pts)
+    ref_idx, ref_lam = brute_locate(mesh, pts)
+    assert idx.dtype == np.int64 and lam.shape == (len(pts), 3)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(lam, ref_lam)
+
+
+def test_locate_rejects_point_in_empty_cell(disk_coarse):
+    disk_coarse.locate(np.zeros((1, 2)))  # builds the grid
+    box_lo, cell, nx, ny, offsets, _ = disk_coarse._grid
+    empty = np.flatnonzero(np.diff(offsets) == 0)
+    assert empty.size  # the corners of the disk's bounding box
+    i, j = divmod(empty[0], ny)
+    outside = box_lo + cell * (np.array([i, j]) + 0.5)
+    inside = disk_coarse.centroids()[:5]
+    with pytest.raises(MeshError, match=r"outside the mesh$"):
+        disk_coarse.locate(np.vstack([inside[:2], outside, inside[2:]]))
+
+
+def test_locate_rejects_point_past_snap_tolerance(square_coarse):
+    tol = 1e-8
+    # a boundary edge on x = 1 and the height of its triangle
+    v = square_coarse.vertices[square_coarse.triangles]
+    on_right = np.isclose(v[..., 0], 1.0, rtol=0, atol=1e-14)
+    t = np.flatnonzero(on_right.sum(axis=1) == 2)[0]
+    edge = v[t][on_right[t]]
+    mid = edge.mean(axis=0)
+    height = 2 * square_coarse.areas()[t] / np.hypot(*(edge[1] - edge[0]))
+    inside = square_coarse.centroids()[:4]
+    near = mid + [0.5 * tol * height, 0.0]
+    far = mid + [2.0 * tol * height, 0.0]
+    idx, lam = square_coarse.locate(np.vstack([inside, near]))
+    assert idx[-1] == t and lam[-1].min() < 0
+    with pytest.raises(MeshError, match="snap tolerance"):
+        square_coarse.locate(np.vstack([inside[:2], far, inside[2:]]))
+
+
+def test_locate_builds_grid_once(monkeypatch):
+    mesh = build_square_mesh(0.5, 0.125, 0.875, 0.06, 0.15)
+    builds = []
+    real = Mesh._build_grid
+
+    def counting(self):
+        builds.append(1)
+        real(self)
+
+    monkeypatch.setattr(Mesh, "_build_grid", counting)
+    cen = mesh.centroids()
+    for k in range(3):
+        idx, _ = mesh.locate(cen[k::50])
+        assert np.all(idx == np.arange(mesh.n_triangles)[k::50])
+    assert builds == [1]
+
+
 def test_checker_catches_flipped_triangle(square_coarse):
     tris = square_coarse.triangles.copy()
     tris[10] = tris[10][::-1]

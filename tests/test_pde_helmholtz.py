@@ -215,3 +215,20 @@ def test_nominal_matrix_factored_once(monkeypatch):
     for y in ys:
         ws.solve(y)
     assert len(calls) == 1
+
+
+def test_nominal_factor_builds_no_load(mesh, dm, monkeypatch):
+    prob = HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return map_forward(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "map_forward", counting)
+    factor = prob._nominal_factor()
+    assert calls == []
+    # still the factor of A(0)
+    A0, _ = prob.assemble(np.zeros(8))
+    x = np.random.default_rng(2).standard_normal(A0.shape[0])
+    np.testing.assert_allclose(factor.solve(A0 @ x), x, rtol=1e-8, atol=1e-8)

@@ -451,6 +451,45 @@ def test_cells_file_survives_interrupted_write(tmp_path, monkeypatch):
     assert [f.name for f in tmp_path.iterdir()] == ["shape.cells.json"]
 
 
+def test_sweep_over_untagged_axis_writes_files_per_cell(tmp_path):
+    # tag() leaves c out; each cell's files carry -c<value> instead
+    summary = pl.sweep(tiny_config(), {"c": [0.04, 0.08]}, tmp_path,
+                       kind="figure", name="cs")
+    assert all("value" in c for c in summary["cells"])
+    assert [c["tag"] for c in summary["cells"]] == [
+        "elliptic-d4-p3-a10-np2-c0.04", "elliptic-d4-p3-a10-np2-c0.08"]
+    for cell in summary["cells"]:
+        for suffix in ("-train.samples.csv", "-test.qoi.csv", ".mlpc",
+                       ".result.json"):
+            assert (tmp_path / (cell["tag"] + suffix)).exists()
+        meta = json.loads((tmp_path / f"{cell['tag']}-train.meta.json").read_text())
+        assert meta["config"]["c"] == cell["axes"]["c"]
+    a, b = (np.loadtxt(tmp_path / f"{c['tag']}-train.qoi.csv", delimiter=",")
+            for c in summary["cells"])
+    assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_dataset_survives_interrupted_write(tmp_path, monkeypatch, binary):
+    cfg = tiny_config()
+    base = tmp_path / "ds"
+    paths = pl.save_dataset(pl.gen_data(cfg, 3, 1), base, binary=binary)
+    before = {k: p.read_bytes() for k, p in paths.items()}
+    writer = "savez_compressed" if binary else "savetxt"
+
+    def write_then_fail(fh, *args, **kwargs):
+        fh.write(b"PK" if binary else "1,2,")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, writer, write_then_fail)
+    with pytest.raises(KeyboardInterrupt):
+        pl.save_dataset(pl.gen_data(cfg, 3, 2), base, binary=binary)
+    monkeypatch.undo()
+    assert {k: p.read_bytes() for k, p in paths.items()} == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        p.name for p in paths.values())
+
+
 # ------------------------------------------------------- solver failures
 
 
@@ -473,4 +512,36 @@ def test_sweep_records_singular_cell(tmp_path, monkeypatch):
                        kind="figure", name="pts")
     assert all("zero pivot" in c["error"] for c in summary["cells"])
     saved = json.loads((tmp_path / "pts.cells.json").read_text())
+    assert len(saved["cells"]) == 2
+
+
+def _nan_on_call(k):
+    """cg_solve that returns a NaN solution at call k, counting from 0."""
+    real, calls = pde.cg_solve, []
+
+    def solve(*args, **kwargs):
+        calls.append(1)
+        u, info = real(*args, **kwargs)
+        return (np.full_like(u, np.nan) if len(calls) == k + 1 else u), info
+    return solve
+
+
+def test_gen_data_reports_non_finite_qoi(monkeypatch):
+    monkeypatch.setattr(pde, "cg_solve", _nan_on_call(1))
+    cfg = tiny_config()
+    with pytest.raises(pl.PipelineError, match="sample 1 failed: non-finite QoI") as err:
+        pl.gen_data(cfg, 3, 5)
+    assert str(pl.sample_parameters(5, 1, cfg.d).tolist()) in str(err.value)
+    assert isinstance(err.value.__cause__, SolverError)
+
+
+def test_sweep_records_non_finite_cell(tmp_path, monkeypatch):
+    # the first cell's datasets take 8 + 4 solves; the second cell's 3rd is NaN
+    monkeypatch.setattr(pde, "cg_solve", _nan_on_call(12 + 2))
+    summary = pl.sweep(tiny_config(), {"d": [4, 6]}, tmp_path, kind="figure",
+                       name="dims")
+    first, second = summary["cells"]
+    assert "value" in first
+    assert "sample 2 failed: non-finite QoI" in second["error"]
+    saved = json.loads((tmp_path / "dims.cells.json").read_text())
     assert len(saved["cells"]) == 2

@@ -1,4 +1,5 @@
 import json
+import types
 
 import numpy as np
 import pytest
@@ -331,3 +332,21 @@ def test_report_json():
     assert data["test_error"] == report.test_error
     assert data["gap"] == pytest.approx((report.test_error - report.train_error)
                                         / report.test_error)
+
+
+def test_checkpoint_survives_interrupted_write(tmp_path):
+    path = tmp_path / "net.mlpc"
+    save_network(init([3, 4, 2], seed=0), path)
+    before = path.read_bytes()
+    net = init([3, 4, 2], seed=1)
+
+    def layers_then_fail():
+        yield net.weights[0]
+        raise KeyboardInterrupt
+
+    half = types.SimpleNamespace(widths=net.widths, beta=net.beta,
+                                 weights=layers_then_fail())
+    with pytest.raises(KeyboardInterrupt):
+        save_network(half, path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["net.mlpc"]
