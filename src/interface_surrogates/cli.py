@@ -47,7 +47,7 @@ def _cmd_gen_data(args):
     seed = cfg.seed + (pipeline.TEST_STREAM if args.split == "test" else 0)
     ds = pipeline.gen_data(cfg, n, seed, workers=args.workers)
     base = Path(cfg.out_dir) / (args.name or f"{cfg.tag()}-{args.split}")
-    paths = pipeline.save_dataset(ds, base, binary=args.binary)
+    paths = pipeline.save_dataset(ds, base)
     for p in sorted(str(v) for v in paths.values()):
         print(p)
     return 0
@@ -172,8 +172,6 @@ def build_parser():
                    help="which seeded sample stream to draw from")
     p.add_argument("--name", help="output base name (default: <tag>-<split>)")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--binary", action="store_true",
-                   help="write an npz matrix file instead of CSV")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="generate or load data, train, persist")

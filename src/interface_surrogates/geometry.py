@@ -296,58 +296,31 @@ def map_jacobian(dm, y, points, band=None):
     return jac
 
 
-def map_inverse(dm, y, points, tol=1e-12, maxit=100):
-    """Invert Phi(y; .) at points of shape (..., 2) by per-ray Newton.
+def map_inverse(dm, y, points):
+    """Invert Phi(y; .) at points of shape (..., 2), ray by ray.
 
     Along each ray the mapped radius g(rhoh) = rhoh + chi(rhoh)(r - r0) is
-    strictly increasing and piecewise linear, so the bisection-safeguarded
-    Newton iteration lands on the root to absolute tolerance `tol` in a
-    handful of steps.
+    strictly increasing and linear on each chi branch, with g(r0) = r.  A
+    target radius below r is inverted on the rising branch, any other on the
+    falling one, each with one division.
     """
     points = np.asarray(points, dtype=float)
     shape = points.shape
     pts = points.reshape(-1, 2)
     rho, phi = _polar(pts)
-    out = pts.copy()
-
-    # outside the support g is the identity; r < r0/2 never occurs
-    inside = (rho > dm.r_inner) & (rho < dm.r_outer)
-    if not np.any(inside):
-        return out.reshape(shape)
-
-    target = rho[inside]
-    r = radius(dm.model, y, phi[inside])
-    shift = r - dm.r0
-
-    lo = np.full_like(target, dm.r_inner)
-    hi = np.full_like(target, dm.r_outer)
-    x = np.clip(target, lo, hi)
-    for _ in range(maxit):
-        chi = mollifier(dm, x)
-        g = x + chi * shift
-        resid = g - target
-        done = np.abs(resid) <= tol
-        if np.all(done):
-            break
-        lo = np.where(resid < 0, np.maximum(lo, x), lo)
-        hi = np.where(resid > 0, np.minimum(hi, x), hi)
-        dchi = np.where(x < dm.r0, 1.0 / (dm.r0 - dm.r_inner),
-                        -1.0 / (dm.r_outer - dm.r0))
-        slope = 1.0 + dchi * shift
-        if np.any(slope <= 0):
-            raise GeometryError("non-monotone radial map; interface model invalid")
-        step = resid / slope
-        xn = x - step
-        bad = (xn <= lo) | (xn >= hi)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        x = np.where(done, x, xn)
-    else:
-        raise GeometryError("radial inverse did not converge")
-
     scale = np.ones_like(rho)
-    scale[inside] = x / target
-    out = pts * scale[:, None]
-    return out.reshape(shape)
+
+    # outside the support g is the identity
+    inside = (rho > dm.r_inner) & (rho < dm.r_outer)
+    if np.any(inside):
+        target = rho[inside]
+        shift = radius(dm.model, y, phi[inside]) - dm.r0
+        up, down = dm.r0 - dm.r_inner, dm.r_outer - dm.r0
+        nominal = np.where(target < dm.r0 + shift,
+                           (up * target + dm.r_inner * shift) / (up + shift),
+                           (down * target - dm.r_outer * shift) / (down - shift))
+        scale[inside] = nominal / target
+    return (pts * scale[:, None]).reshape(shape)
 
 
 def kink_hyperplane(dm, x0):

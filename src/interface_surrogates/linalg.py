@@ -2,15 +2,15 @@
 
 Matrices are scipy CSR (row offsets, column indices, values); Helmholtz
 systems are stored as native complex CSR rather than a 2n x 2n real block
-form.  The conjugate gradient loop is written out so iteration counts, the
-preconditioned residual history and the true final residual are available
-to callers and tests.  Its inner products are unconjugated, so on a
-complex-symmetric matrix (A = A^T, not Hermitian) the same loop is the
-conjugate orthogonal CG method (COCG); the Helmholtz problem runs it
-preconditioned by an LU factorization of its nominal matrix (lu_factor).
-lu_solve is the one-shot direct solver, with partial pivoting and an
-explicit zero-pivot check, kept as the reference the iterative path is
-tested against.
+form.  The preconditioned conjugate gradient loop is written out so iteration
+counts, the preconditioned residual history and the true final residual are
+available to callers and tests.  Its inner products are unconjugated, so on
+a complex-symmetric matrix (A = A^T, not Hermitian) the same loop is the
+conjugate orthogonal CG method (COCG).  Both problems run it preconditioned
+by an LU factorization of their nominal matrix (lu_factor).  lu_solve is
+the one-shot direct solver, with partial pivoting and an explicit
+zero-pivot check, kept as the reference the iterative path is tested
+against.
 """
 
 import math
@@ -43,12 +43,12 @@ def assemble_csr(rows, cols, vals, n):
     return mat.tocsr()
 
 
-def cg_solve(A, b, tol=1e-10, maxit=20_000, precond="jacobi"):
+def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
     """Preconditioned conjugate gradients for SPD or complex-symmetric systems.
 
-    precond is "jacobi", "none" (or None), or a callable r -> M^-1 r.  With
-    complex A and b the unconjugated products r^T z and p^T A p make this
-    COCG, which needs A = A^T (and M symmetric) rather than A Hermitian.
+    precond is a callable r -> M^-1 r.  With complex A and b the
+    unconjugated products r^T z and p^T A p make this COCG, which needs
+    A = A^T (and M symmetric) rather than A Hermitian.
 
     Stops when ||r||_2 <= tol * ||b||_2 for the recursively updated
     residual r.  Returns (x, info) where info carries the iteration count,
@@ -61,21 +61,6 @@ def cg_solve(A, b, tol=1e-10, maxit=20_000, precond="jacobi"):
     A = A.tocsr() if not sp.issparse(A) else A
     b = np.asarray(b)
     n = b.shape[0]
-    if callable(precond):
-        apply = precond
-    elif precond == "jacobi":
-        diag = A.diagonal().astype(float)
-        if np.any(diag <= 0):
-            raise SingularMatrixError("non-positive diagonal entry; matrix not SPD")
-        minv = 1.0 / diag
-
-        def apply(r):
-            return minv * r
-    elif precond is None or precond == "none":
-        apply = np.copy
-    else:
-        raise ValueError(f"unknown preconditioner {precond!r}")
-
     x = np.zeros(n, dtype=np.result_type(A.dtype, b.dtype, float))
     r = b.astype(x.dtype)
     bnorm = np.linalg.norm(b)
@@ -83,7 +68,7 @@ def cg_solve(A, b, tol=1e-10, maxit=20_000, precond="jacobi"):
         return x, {"iterations": 0, "residual_norms": [0.0], "residual": 0.0}
 
     real = not np.iscomplexobj(x)
-    z = apply(r)
+    z = precond(r)
     p = z.copy()
     rz = r @ z
     history = [np.sqrt(abs(rz))]
@@ -96,7 +81,7 @@ def cg_solve(A, b, tol=1e-10, maxit=20_000, precond="jacobi"):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = apply(r)
+        z = precond(r)
         rz_new = r @ z
         history.append(np.sqrt(abs(rz_new)))
         rnorm = np.linalg.norm(r)

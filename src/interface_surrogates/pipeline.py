@@ -132,6 +132,10 @@ class ExperimentConfig:
     def qoi_kind(self):
         return "value" if self.problem == "elliptic" else "amplitude"
 
+    def solver_tol(self):
+        """Relative residual at which the problem's Krylov solve stops."""
+        return self.cg_tol if self.problem == "elliptic" else COCG_TOL
+
     def widths(self):
         return surrogate.default_widths(self.d, self.n_points, depth=self.depth)
 
@@ -397,10 +401,6 @@ def gen_data(config, n=None, seed=None, workers=1):
                                     chunksize=chunk):
                 samples[i] = y
                 qoi[i] = q
-    if config.problem == "elliptic":
-        solver = {"method": "jacobi-cg", "tol": config.cg_tol}
-    else:
-        solver = {"method": "nominal-lu-cocg", "tol": COCG_TOL}
     meta = {
         "config": config.to_dict(),
         "config_hash": config.data_hash(),
@@ -409,7 +409,7 @@ def gen_data(config, n=None, seed=None, workers=1):
         "d": config.d,
         "n_points": config.n_points,
         "mesh_checksum": mesh_checksum(mesh),
-        "solver": solver,
+        "solver": {"method": "nominal-lu-cocg", "tol": config.solver_tol()},
         "wall_time": time.time() - t0,
         "created": datetime.now(timezone.utc).isoformat(),
     }
@@ -422,41 +422,27 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _paths(base, binary):
+def _paths(base):
     base = Path(base)
-    if binary:
-        return {"meta": base.with_name(base.name + ".meta.json"),
-                "data": base.with_name(base.name + ".data.npz")}
     return {"meta": base.with_name(base.name + ".meta.json"),
             "samples": base.with_name(base.name + ".samples.csv"),
             "qoi": base.with_name(base.name + ".qoi.csv")}
 
 
-def save_dataset(ds, base, binary=False):
+def save_dataset(ds, base):
     """Write dataset files under the path prefix base; returns the paths."""
-    paths = _paths(base, binary)
+    paths = _paths(base)
     paths["meta"].parent.mkdir(parents=True, exist_ok=True)
-    if binary:
-        with surrogate.atomic_open(paths["data"], "wb") as fh:
-            np.savez_compressed(fh, samples=ds.samples, qoi=ds.qoi)
-    else:
-        for key in ("samples", "qoi"):
-            with surrogate.atomic_open(paths[key]) as fh:
-                np.savetxt(fh, getattr(ds, key), fmt="%.17g", delimiter=",")
+    for key in ("samples", "qoi"):
+        with surrogate.atomic_open(paths[key]) as fh:
+            np.savetxt(fh, getattr(ds, key), fmt="%.17g", delimiter=",")
     _write_json(paths["meta"], ds.meta)
     return paths
 
 
-def dataset_exists(base):
-    p = _paths(base, False)
-    pb = _paths(base, True)
-    return p["meta"].exists() and (
-        (p["samples"].exists() and p["qoi"].exists()) or pb["data"].exists())
-
-
 def load_dataset(base, config=None):
     """Load a dataset saved under base; verify hash against config if given."""
-    paths = _paths(base, False)
+    paths = _paths(base)
     if not paths["meta"].exists():
         raise PipelineError(f"no dataset at {base}")
     with open(paths["meta"]) as fh:
@@ -467,13 +453,8 @@ def load_dataset(base, config=None):
     if config is not None and config.data_hash() != meta["config_hash"]:
         raise PipelineError(
             f"{base}: dataset was generated under a different configuration")
-    npz = _paths(base, True)["data"]
-    if npz.exists():
-        with np.load(npz) as data:
-            samples, qoi = data["samples"], data["qoi"]
-    else:
-        samples = np.loadtxt(paths["samples"], delimiter=",", ndmin=2)
-        qoi = np.loadtxt(paths["qoi"], delimiter=",", ndmin=2)
+    samples = np.loadtxt(paths["samples"], delimiter=",", ndmin=2)
+    qoi = np.loadtxt(paths["qoi"], delimiter=",", ndmin=2)
     return Dataset(samples, qoi, meta)
 
 
@@ -481,7 +462,7 @@ def _ensure_dataset(config, split, out_dir, workers, reuse, stem):
     n = config.n_train if split == "train" else config.n_test
     seed = config.seed if split == "train" else config.seed + TEST_STREAM
     base = Path(out_dir) / f"{stem}-{split}"
-    if reuse and dataset_exists(base):
+    if reuse and all(p.exists() for p in _paths(base).values()):
         ds = load_dataset(base, config)
         # the file name holds no seed, so a stored stream may be another one
         if ds.n >= n and ds.meta["seed"] == seed:
@@ -685,8 +666,9 @@ def _emit_table(out, name, axes, cells):
             row.append("" if v is None else format(v, ".6g"))
         lines_csv.append(",".join(row))
         lines_md.append("| " + " | ".join(row) + " |")
-    (out / f"{name}.csv").write_text("\n".join(lines_csv) + "\n")
-    (out / f"{name}.md").write_text("\n".join(lines_md) + "\n")
+    for suffix, lines in (("csv", lines_csv), ("md", lines_md)):
+        with surrogate.atomic_open(out / f"{name}.{suffix}") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def _emit_figure(out, name, axes, cells):

@@ -10,6 +10,8 @@ import csv
 
 import numpy as np
 
+from .surrogate import atomic_open
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _W, _H = 640, 440
@@ -62,7 +64,7 @@ def load_series_csv(path):
 
 
 def save_series_csv(path, series):
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "x", "y"])
         for s in series:
@@ -205,5 +207,5 @@ def render_plot(series, title="", xlabel="", ylabel=""):
 
 
 def write_svg(path, svg_text):
-    with open(path, "w", newline="\n") as fh:
+    with atomic_open(path, newline="\n") as fh:
         fh.write(svg_text)

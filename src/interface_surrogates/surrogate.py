@@ -245,14 +245,14 @@ def train(train_set, test_set, widths, epochs, restarts=1, base_seed=0,
 
 
 @contextlib.contextmanager
-def atomic_open(path, mode="w"):
+def atomic_open(path, mode="w", newline=None):
     """Open a temp file beside path for writing and rename it over path
     once the block completes, so an interrupted write never leaves path
     half-written; the temp file is removed either way."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

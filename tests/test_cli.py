@@ -70,12 +70,12 @@ def test_gen_data_train_evaluate_roundtrip(tmp_path, capsys):
     np.testing.assert_array_equal(pred[0], pred[1])
 
 
-def test_gen_data_binary_custom_name(tmp_path, capsys):
+def test_gen_data_custom_name(tmp_path, capsys):
     cfg_file = write_config(tmp_path)
     assert cli.main(["gen-data", "--config", str(cfg_file), "--n", "2",
-                     "--name", "probe", "--binary"]) == 0
+                     "--name", "probe"]) == 0
     capsys.readouterr()
-    assert (tmp_path / "out" / "probe.data.npz").exists()
+    assert (tmp_path / "out" / "probe.samples.csv").exists()
     ds = pl.load_dataset(tmp_path / "out" / "probe")
     assert ds.n == 2
 

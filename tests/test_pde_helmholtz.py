@@ -150,13 +150,16 @@ def test_singular_nominal_factor_raises_solver_error(mesh, dm, monkeypatch):
 
 
 def test_not_converged_raises_solver_error(mesh, dm, monkeypatch):
+    # both problems stop at the one COCG_MAXIT
     monkeypatch.setattr(pde, "COCG_MAXIT", 2)
-    prob = HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
+    problems = [HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O),
+                pipeline.Workspace(pipeline.preset("desk-elliptic")).problem]
     y = np.full(8, 0.5)
-    with pytest.raises(SolverError, match="did not converge in 2") as err:
-        prob.solve(y)
-    assert isinstance(err.value.__cause__, NotConvergedError)
-    np.testing.assert_array_equal(err.value.y, y)
+    for prob in problems:
+        with pytest.raises(SolverError, match="did not converge in 2") as err:
+            prob.solve(y)
+        assert isinstance(err.value.__cause__, NotConvergedError)
+        np.testing.assert_array_equal(err.value.y, y)
 
 
 def test_residual_above_bound_raises_solver_error(mesh, dm, monkeypatch):
@@ -174,14 +177,19 @@ def test_solver_stats_recorded(mesh, dm):
     assert 0.0 < field.info["residual"] <= pde.RESIDUAL_BOUND
 
 
-# ----------------------------------- nominal-LU COCG against the direct solve
+# ----------------------- nominal-LU CG/COCG of both problems vs the direct solve
 
 DESK = pipeline.preset("desk-helmholtz")
+DESK_ELLIPTIC = pipeline.preset("desk-elliptic")
 EQUIVALENCE_CONFIGS = {
     "desk": DESK,
     "d16-p1": dataclasses.replace(DESK, d=16, p=1.0),
     "alpha1000": dataclasses.replace(DESK, alpha_i=1000.0),
     "alpha1-d16": dataclasses.replace(DESK, alpha_i=1.0, d=16),
+    "elliptic-desk": DESK_ELLIPTIC,
+    "elliptic-d16-p1-np64": dataclasses.replace(DESK_ELLIPTIC, d=16, p=1.0,
+                                                n_points=64),
+    "elliptic-alpha1000": dataclasses.replace(DESK_ELLIPTIC, alpha_i=1000.0),
 }
 
 
@@ -208,13 +216,15 @@ def test_nominal_matrix_factored_once(monkeypatch):
         return spla.splu(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "spla", types.SimpleNamespace(splu=counting))
-    ws = pipeline.Workspace(DESK)
-    ys = [pipeline.sample_parameters(5, k, DESK.d) for k in range(3)]
-    ws.problem.assemble(ys[0])
-    assert calls == []
-    for y in ys:
-        ws.solve(y)
-    assert len(calls) == 1
+    for config in (DESK, DESK_ELLIPTIC):
+        calls.clear()
+        ws = pipeline.Workspace(config)
+        ys = [pipeline.sample_parameters(5, k, config.d) for k in range(3)]
+        ws.problem.assemble(ys[0])
+        assert calls == []
+        for y in ys:
+            ws.solve(y)
+        assert len(calls) == 1
 
 
 def test_nominal_factor_builds_no_load(mesh, dm, monkeypatch):

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from interface_surrogates import pde
+from interface_surrogates import pde, surrogate
 from interface_surrogates import pipeline as pl
 from interface_surrogates.linalg import SingularMatrixError
 from interface_surrogates.pde import SolverError, circle_points
@@ -191,7 +192,7 @@ def test_gen_data_shapes_and_metadata():
     assert ds.meta["config_hash"] == cfg.data_hash()
     assert ds.meta["n_samples"] == 5 and ds.meta["seed"] == 9
     assert len(ds.meta["mesh_checksum"]) == 64
-    assert ds.meta["solver"]["method"] == "jacobi-cg"
+    assert ds.meta["solver"] == {"method": "nominal-lu-cocg", "tol": cfg.cg_tol}
     np.testing.assert_array_equal(ds.samples[2],
                                   pl.sample_parameters(cfg.seed, 2, cfg.d))
 
@@ -234,17 +235,6 @@ def test_dataset_roundtrip_csv(tmp_path):
     np.testing.assert_array_equal(back.samples, ds.samples)
     np.testing.assert_array_equal(back.qoi, ds.qoi)
     assert back.meta == ds.meta
-
-
-def test_dataset_roundtrip_binary(tmp_path):
-    cfg = tiny_config()
-    ds = pl.gen_data(cfg, 4, 2)
-    base = tmp_path / "demo"
-    pl.save_dataset(ds, base, binary=True)
-    assert (tmp_path / "demo.data.npz").exists()
-    back = pl.load_dataset(base, cfg)
-    np.testing.assert_array_equal(back.samples, ds.samples)
-    np.testing.assert_array_equal(back.qoi, ds.qoi)
 
 
 def test_load_rejects_mismatched_config(tmp_path):
@@ -469,21 +459,48 @@ def test_sweep_over_untagged_axis_writes_files_per_cell(tmp_path):
     assert not np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("binary", [False, True])
-def test_dataset_survives_interrupted_write(tmp_path, monkeypatch, binary):
+@pytest.mark.parametrize("emit,interrupted", [
+    ("_emit_table", "out.csv"), ("_emit_table", "out.md"),
+    ("_emit_figure", "out.series.csv"), ("_emit_figure", "out.svg")])
+def test_sweep_outputs_survive_interrupted_write(tmp_path, monkeypatch, emit,
+                                                 interrupted):
+    axes = {"d": [8, 16]}
+    cells = [{"axes": {"d": 8}, "value": 0.1}, {"axes": {"d": 16}, "value": 0.05}]
+    getattr(pl, emit)(tmp_path, "out", axes, cells)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert interrupted in before
+    real_open = open
+
+    def open_then_fail(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if Path(path).name.startswith(interrupted):
+            fh.write("| d")
+            fh.close()
+            raise KeyboardInterrupt
+        return fh
+
+    monkeypatch.setattr(surrogate, "open", open_then_fail, raising=False)
+    cells[0]["value"] = 0.2
+    with pytest.raises(KeyboardInterrupt):
+        getattr(pl, emit)(tmp_path, "out", axes, cells)
+    monkeypatch.undo()
+    assert (tmp_path / interrupted).read_bytes() == before[interrupted]
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(before)
+
+
+def test_dataset_survives_interrupted_write(tmp_path, monkeypatch):
     cfg = tiny_config()
     base = tmp_path / "ds"
-    paths = pl.save_dataset(pl.gen_data(cfg, 3, 1), base, binary=binary)
+    paths = pl.save_dataset(pl.gen_data(cfg, 3, 1), base)
     before = {k: p.read_bytes() for k, p in paths.items()}
-    writer = "savez_compressed" if binary else "savetxt"
 
     def write_then_fail(fh, *args, **kwargs):
-        fh.write(b"PK" if binary else "1,2,")
+        fh.write("1,2,")
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(np, writer, write_then_fail)
+    monkeypatch.setattr(np, "savetxt", write_then_fail)
     with pytest.raises(KeyboardInterrupt):
-        pl.save_dataset(pl.gen_data(cfg, 3, 2), base, binary=binary)
+        pl.save_dataset(pl.gen_data(cfg, 3, 2), base)
     monkeypatch.undo()
     assert {k: p.read_bytes() for k, p in paths.items()} == before
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
