@@ -18,8 +18,10 @@ from interface_surrogates.mesh import (
     build_square_mesh,
 )
 from interface_surrogates.oracles import manufactured_poisson, radial_two_zone
+from interface_surrogates import pde
 from interface_surrogates.pde import (
     EllipticProblem,
+    SolverError,
     circle_points,
     evaluate_qoi,
     l2_error,
@@ -252,6 +254,17 @@ def test_galerkin_residual_at_solution():
     u_int = field.data[mesh.interior_nodes()]
     res = np.linalg.norm(b - A @ u_int) / np.linalg.norm(b)
     assert res <= 1e-9
+
+
+def test_nonconvergence_records_sample(monkeypatch):
+    monkeypatch.setattr(pde, "COCG_MAXIT", 3)
+    dm = make_map()
+    mesh = build_square_mesh(dm.r0, dm.r_inner, dm.r_outer, 0.1, 0.15)
+    y = np.full(8, 0.25)
+    prob = EllipticProblem(mesh, dm, alpha_i=100.0)
+    with pytest.raises(SolverError) as err:
+        prob.solve(y)
+    np.testing.assert_array_equal(err.value.y, y)
 
 
 def test_qoi_vertex_value_and_outside_error():
