@@ -59,7 +59,6 @@ from .pde import (
     l2_error,
     probe_kink,
     spike_stats,
-    transformed_coefficients,
 )
 from .pipeline import (
     Dataset,

@@ -16,6 +16,11 @@ where chi is a piecewise linear mollifier supported on [r_inner, r_outer].
 Phi preserves angles, is the identity outside the mollifier support, and
 is a bijection whenever the perturbation amplitude stays below the
 distances from r0 to the mollifier cutoffs.
+
+The series is evaluated without sines or cosines: at z = exp(i phi) it is
+Re sum_k w_k z^k with w_k linear in y, and the powers z^k follow from
+complex products.  The map functions take z = (x1 + i x2)/|x| from the
+points themselves, so a sample costs no angle and no transcendental call.
 """
 
 import numpy as np
@@ -108,29 +113,38 @@ def as_sample(model, y):
     return y
 
 
-def _pair_weights(model, y):
-    # s_k multiplies sin(k phi), c_k multiplies cos(k phi), k = 1..d/2
-    return model.b[0::2] * y[0::2], model.b[1::2] * y[1::2]
+def _series(model, y, z):
+    """r - r0 and dr/dphi at unit complex numbers z = exp(i phi), any shape.
+
+    With w_k = c_k - i s_k the series is Re sum_k w_k z^k and its angular
+    derivative Re sum_k i k w_k z^k; the powers z^k come from complex
+    products by doubling, so no sine or cosine is evaluated.
+    """
+    y = as_sample(model, y)
+    z = np.asarray(z, dtype=complex)
+    m = model.d // 2
+    k = np.arange(1, m + 1, dtype=float)
+    # c_k multiplies cos(k phi), s_k multiplies sin(k phi)
+    w = model.b[1::2] * y[1::2] - 1j * (model.b[0::2] * y[0::2])
+    powers = np.empty((m, z.size), dtype=complex)
+    powers[0] = z.ravel()
+    done = 1
+    while done < m:
+        step = min(done, m - done)
+        powers[done:done + step] = powers[:step] * powers[done - 1]
+        done += step
+    shift, dr = (np.stack([w, 1j * k * w]) @ powers).real
+    return shift.reshape(z.shape), dr.reshape(z.shape)
 
 
 def radius(model, y, phi):
     """Perturbed interface radius r(y; phi); phi may be an array."""
-    y = as_sample(model, y)
-    phi = np.asarray(phi, dtype=float)
-    s, co = _pair_weights(model, y)
-    k = np.arange(1, model.d // 2 + 1, dtype=float)
-    ang = np.multiply.outer(phi, k)
-    return model.r0 + np.sin(ang) @ s + np.cos(ang) @ co
+    return model.r0 + _series(model, y, np.exp(1j * np.asarray(phi, dtype=float)))[0]
 
 
 def radius_dphi(model, y, phi):
     """Angular derivative dr/dphi(y; phi)."""
-    y = as_sample(model, y)
-    phi = np.asarray(phi, dtype=float)
-    s, co = _pair_weights(model, y)
-    k = np.arange(1, model.d // 2 + 1, dtype=float)
-    ang = np.multiply.outer(phi, k)
-    return np.cos(ang) @ (k * s) - np.sin(ang) @ (k * co)
+    return _series(model, y, np.exp(1j * np.asarray(phi, dtype=float)))[1]
 
 
 class DomainMap:
@@ -219,11 +233,10 @@ def band_of(dm, rho, tol=1e-12):
     return band
 
 
-def _polar(points):
-    points = np.asarray(points, dtype=float)
-    rho = np.hypot(points[..., 0], points[..., 1])
-    phi = np.arctan2(points[..., 1], points[..., 0])
-    return rho, phi
+def _radial_scale(dm, y, points, rho, chi):
+    """Factor 1 + chi (r - r0) / rho by which Phi scales points off the origin."""
+    shift = _series(dm.model, y, (points[..., 0] + 1j * points[..., 1]) / rho)[0]
+    return 1.0 + chi * shift / rho
 
 
 def map_forward(dm, y, points):
@@ -233,16 +246,33 @@ def map_forward(dm, y, points):
     r_outer), so far-field nodes are never perturbed by roundoff.
     """
     points = np.asarray(points, dtype=float)
-    rho, phi = _polar(points)
+    rho = np.hypot(points[..., 0], points[..., 1])
     chi = mollifier(dm, rho)
     move = chi != 0.0
-    if not np.any(move):
-        return points.copy()
-    shift = np.zeros_like(rho)
-    r = radius(dm.model, y, phi[move])
-    shift[move] = chi[move] * (r - dm.r0) / rho[move]
-    out = points * (1.0 + shift)[..., None]
-    return np.where(move[..., None], out, points)
+    if move.all():
+        return points * _radial_scale(dm, y, points, rho, chi)[..., None]
+    scale = np.ones_like(rho)
+    if move.any():
+        scale[move] = _radial_scale(dm, y, points[move], rho[move], chi[move])
+    return points * scale[..., None]
+
+
+def _band_jacobian(dm, y, points, rho, band):
+    """map_jacobian at points (n, 2) that all lie in a chi band."""
+    if np.any(rho <= 0):
+        raise GeometryError("Jacobian undefined at the origin")
+    cs, sn = points[:, 0] / rho, points[:, 1] / rho
+    shift, dr = _series(dm.model, y, cs + 1j * sn)
+    chi = mollifier(dm, rho)
+    g_rho = 1.0 + mollifier_slope(dm, rho, band) * shift
+    m01 = chi * dr / rho
+    m11 = 1.0 + chi * shift / rho
+    # Q @ [[g_rho, m01], [0, m11]] @ Q.T with Q the rotation by phi
+    cc, ss, csn = cs * cs, sn * sn, cs * sn
+    skew = (g_rho - m11) * csn
+    jac = np.stack([g_rho * cc - m01 * csn + m11 * ss, skew + m01 * cc,
+                    skew - m01 * ss, g_rho * ss + m01 * csn + m11 * cc], axis=-1)
+    return jac.reshape(-1, 2, 2)
 
 
 def map_jacobian(dm, y, points, band=None):
@@ -256,43 +286,18 @@ def map_jacobian(dm, y, points, band=None):
     points sitting on a breakpoint are rejected.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    rho, phi = _polar(points)
+    rho = np.hypot(points[:, 0], points[:, 1])
     if band is None:
         band = band_of(dm, rho)
     else:
         band = np.broadcast_to(np.asarray(band), rho.shape)
-
-    n = rho.shape[0]
-    jac = np.zeros((n, 2, 2))
-    jac[:, 0, 0] = 1.0
-    jac[:, 1, 1] = 1.0
     active = (band == BAND_INNER) | (band == BAND_OUTER)
-    if not np.any(active):
-        return jac
-
-    rho_a, phi_a = rho[active], phi[active]
-    if np.any(rho_a <= 0):
-        raise GeometryError("Jacobian undefined at the origin")
-    r = radius(dm.model, y, phi_a)
-    dr = radius_dphi(dm.model, y, phi_a)
-    chi = mollifier(dm, rho_a)
-    dchi = mollifier_slope(dm, rho_a, band[active])
-
-    g_rho = 1.0 + dchi * (r - dm.r0)
-    g = rho_a + chi * (r - dm.r0)
-    m01 = chi * dr / rho_a
-    m11 = g / rho_a
-
-    cs, sn = np.cos(phi_a), np.sin(phi_a)
-    # Q @ [[g_rho, m01], [0, m11]] @ Q.T with Q the rotation by phi
-    j00 = g_rho * cs * cs - m01 * cs * sn + m11 * sn * sn
-    j01 = g_rho * cs * sn + m01 * cs * cs - m11 * sn * cs
-    j10 = g_rho * sn * cs - m01 * sn * sn - m11 * cs * sn
-    j11 = g_rho * sn * sn + m01 * sn * cs + m11 * cs * cs
-    jac[active, 0, 0] = j00
-    jac[active, 0, 1] = j01
-    jac[active, 1, 0] = j10
-    jac[active, 1, 1] = j11
+    if active.all():
+        return _band_jacobian(dm, y, points, rho, band)
+    jac = np.zeros((rho.size, 2, 2))
+    jac[:, 0, 0] = jac[:, 1, 1] = 1.0
+    if active.any():
+        jac[active] = _band_jacobian(dm, y, points[active], rho[active], band[active])
     return jac
 
 
@@ -307,14 +312,14 @@ def map_inverse(dm, y, points):
     points = np.asarray(points, dtype=float)
     shape = points.shape
     pts = points.reshape(-1, 2)
-    rho, phi = _polar(pts)
+    rho = np.hypot(pts[:, 0], pts[:, 1])
     scale = np.ones_like(rho)
 
     # outside the support g is the identity
     inside = (rho > dm.r_inner) & (rho < dm.r_outer)
     if np.any(inside):
         target = rho[inside]
-        shift = radius(dm.model, y, phi[inside]) - dm.r0
+        shift = _series(dm.model, y, (pts[inside, 0] + 1j * pts[inside, 1]) / target)[0]
         up, down = dm.r0 - dm.r_inner, dm.r_outer - dm.r0
         nominal = np.where(target < dm.r0 + shift,
                            (up * target + dm.r_inner * shift) / (up + shift),

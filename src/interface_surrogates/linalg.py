@@ -58,7 +58,7 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
     NotConvergedError past maxit and NotFiniteError when the residual or
     x stops being finite.
     """
-    A = A.tocsr() if not sp.issparse(A) else A
+    A = A if sp.issparse(A) else sp.csr_matrix(A)
     b = np.asarray(b)
     n = b.shape[0]
     x = np.zeros(n, dtype=np.result_type(A.dtype, b.dtype, float))

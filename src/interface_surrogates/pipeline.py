@@ -85,6 +85,10 @@ class ExperimentConfig:
         if not (0 <= self.seed < 2**63):
             raise PipelineError("seed must be in [0, 2**63)")
         if self.problem == "helmholtz":
+            if self.cg_tol != ExperimentConfig.cg_tol:
+                raise PipelineError(
+                    f"cg_tol = {self.cg_tol:g} has no effect on helmholtz, "
+                    f"whose solves stop at {COCG_TOL:g}; leave it at its default")
             ko, ki = self.wavenumbers()
             if ki**2 / ko**2 > self.alpha_i + 1e-12:
                 raise PipelineError(

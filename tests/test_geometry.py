@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interface_surrogates import geometry
 from interface_surrogates.geometry import (
     BAND_INNER,
     BAND_OUTER,
@@ -98,6 +99,92 @@ def test_radius_dphi_fd():
     h = 1e-6
     fd = (radius(m, y, phis + h) - radius(m, y, phis - h)) / (2 * h)
     assert np.allclose(radius_dphi(m, y, phis), fd, atol=1e-7)
+
+
+SERIES_DIMS = [2, 8, 16, 64, 128]
+# the axes, both ends of arctan2's range and random angles
+SERIES_ANGLES = np.concatenate([
+    [0.0, np.pi / 2, np.pi, -np.pi / 2, -np.pi, 3 * np.pi / 2],
+    np.random.default_rng(2).uniform(-np.pi, np.pi, 200)])
+
+
+def _series_reference(model, y, phi):
+    """r - r0 and dr/dphi summed term by term with np.sin and np.cos."""
+    shift, dr = np.zeros_like(phi), np.zeros_like(phi)
+    for j in range(1, model.d + 1):
+        k, a = (j + 1) // 2, model.b[j - 1] * y[j - 1]
+        if j % 2 == 1:
+            shift += a * np.sin(k * phi)
+            dr += a * k * np.cos(k * phi)
+        else:
+            shift += a * np.cos(k * phi)
+            dr -= a * k * np.sin(k * phi)
+    return shift, dr
+
+
+@pytest.mark.parametrize("d", SERIES_DIMS)
+def test_series_matches_direct_trigonometric_sum(d):
+    m = InterfaceModel(0.5, d, 1, 0.05)
+    y = np.random.default_rng(d).uniform(-1, 1, d)
+    phi = SERIES_ANGLES
+    shift, dr = _series_reference(m, y, phi)
+    tol = 1e-13
+    got_shift, got_dr = geometry._series(m, y, np.exp(1j * phi))
+    assert np.abs(got_shift - shift).max() <= tol * np.abs(shift).max()
+    assert np.abs(got_dr - dr).max() <= tol * np.abs(dr).max()
+    # unit numbers taken from points, as the map functions form them
+    pts = 0.3 * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    from_points = geometry._series(m, y, (pts[:, 0] + 1j * pts[:, 1]) / rho)[0]
+    assert np.abs(from_points - shift).max() <= tol * np.abs(shift).max()
+    r = radius(m, y, phi)
+    assert np.abs(r - (m.r0 + shift)).max() <= tol * np.abs(r).max()
+    assert np.abs(radius_dphi(m, y, phi) - dr).max() <= tol * np.abs(dr).max()
+    # scalar and 2-D angle arrays keep their shape
+    assert np.shape(radius(m, y, 0.25)) == ()
+    assert radius_dphi(m, y, phi.reshape(2, -1)).shape == (2, phi.size // 2)
+
+
+@pytest.mark.parametrize("d", SERIES_DIMS)
+def test_map_forward_bit_exact_outside_band(d):
+    dm = make_map(d=d, p=1, c=0.05)
+    rng = np.random.default_rng(d + 1)
+    y = rng.uniform(-1, 1, d)
+    rad = np.concatenate([[0.0, dm.r_inner, dm.r_outer],
+                          rng.uniform(0.0, 1.5, 400)])
+    phi = np.concatenate([[0.0, np.pi, -np.pi / 2], rng.uniform(-np.pi, np.pi, 400)])
+    pts = rad[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    out = map_forward(dm, y, pts)
+    still = (rad <= dm.r_inner) | (rad >= dm.r_outer)
+    assert still.any() and not still.all()
+    assert np.array_equal(out[still], pts[still])
+    # points that all move take the unmasked path and agree with the masked one
+    band = map_forward(dm, y, pts[~still])
+    assert np.abs(band - out[~still]).max() <= 1e-15
+    back = map_inverse(dm, y, out)
+    assert np.abs(back - pts).max() <= 1e-14
+
+
+def test_jacobian_rejects_origin_and_breakpoints():
+    dm = make_map()
+    y = np.full(8, 0.5)
+    for band in (BAND_INNER, BAND_OUTER):
+        with pytest.raises(GeometryError, match="origin"):
+            map_jacobian(dm, y, np.zeros((1, 2)), band=band)
+    for rho in (dm.r_inner, dm.r0, dm.r_outer):
+        with pytest.raises(GeometryError, match="breakpoint"):
+            map_jacobian(dm, y, np.array([[0.0, -rho]]))
+
+
+def test_jacobian_fast_path_matches_masked():
+    dm = make_map(d=16, p=1)
+    rng = np.random.default_rng(12)
+    y = rng.uniform(-1, 1, 16)
+    pts = _sample_off_circle(rng, dm, 100)
+    both = np.concatenate([pts, [[0.95, 0.1], [0.02, 0.03]]])
+    masked = map_jacobian(dm, y, both)
+    assert np.abs(map_jacobian(dm, y, pts) - masked[:100]).max() <= 1e-15
+    assert np.all(masked[100:] == np.eye(2))
 
 
 def test_amplitude_bound_rejects():

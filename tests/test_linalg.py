@@ -52,6 +52,12 @@ def test_cg_matches_dense_solve():
     assert np.allclose(x, np.linalg.solve(A_dense, b), atol=1e-8)
 
 
+def test_cg_accepts_dense_matrix():
+    x, info = cg_solve(2 * np.eye(2), np.ones(2), precond=np.copy)
+    np.testing.assert_allclose(x, [0.5, 0.5])
+    assert info["iterations"] == 1
+
+
 def test_cg_preconditioned_residual_monotone():
     # badly scaled SPD system where Jacobi actually matters
     rng = np.random.default_rng(3)

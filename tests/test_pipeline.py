@@ -68,6 +68,28 @@ def test_config_rejections():
         pl.ExperimentConfig.from_dict({"problem": "elliptic", "colour": 3})
 
 
+def test_helmholtz_rejects_cg_tol():
+    # Helmholtz solves stop at pde.COCG_TOL, so a cg_tol there would be ignored
+    with pytest.raises(pl.PipelineError, match="cg_tol"):
+        pl.ExperimentConfig(problem="helmholtz", cg_tol=1e-6)
+    with pytest.raises(pl.PipelineError, match="cg_tol"):
+        dataclasses.replace(pl.preset("desk-helmholtz"), cg_tol=1e-12)
+    default = pl.ExperimentConfig.cg_tol
+    assert pl.ExperimentConfig(problem="helmholtz", cg_tol=default).cg_tol == default
+    assert pl.ExperimentConfig(problem="elliptic", cg_tol=1e-6).solver_tol() == 1e-6
+
+
+def test_sweep_records_helmholtz_cg_tol_cells_as_failed(tmp_path):
+    # each cell fails when its config is built, before any dataset is made
+    summary = pl.sweep(pl.preset("desk-helmholtz"), {"cg_tol": [1e-6, 1e-8]},
+                       tmp_path, kind="figure", name="tol")
+    assert [c["axes"] for c in summary["cells"]] == [{"cg_tol": 1e-6}, {"cg_tol": 1e-8}]
+    assert all("cg_tol" in c["error"] and "value" not in c for c in summary["cells"])
+    saved = json.loads((tmp_path / "tol.cells.json").read_text())
+    assert len(saved["cells"]) == 2
+    assert not list(tmp_path.glob("*.meta.json"))
+
+
 def test_data_hash_tracks_data_fields_only():
     cfg = tiny_config()
     same = dataclasses.replace(cfg, epochs=999, restarts=7, lr=1.0,
