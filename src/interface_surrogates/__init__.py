@@ -18,16 +18,13 @@ from .geometry import (
     GeometryError,
     InterfaceModel,
     basis,
-    basis_derivative,
     kink_hyperplane,
     map_forward,
     map_inverse,
     map_jacobian,
     max_shape_variation,
     mollifier,
-    mollifier_slope,
     radius,
-    radius_dphi,
 )
 from .linalg import (
     NotConvergedError,

@@ -43,8 +43,8 @@ def _resolve_config(args):
 
 def _cmd_gen_data(args):
     cfg = _resolve_config(args)
-    n = args.n if args.n is not None else cfg.n_train
-    seed = cfg.seed + (pipeline.TEST_STREAM if args.split == "test" else 0)
+    n, seed = pipeline.split_stream(cfg, args.split)
+    n = args.n if args.n is not None else n
     ds = pipeline.gen_data(cfg, n, seed, workers=args.workers)
     base = Path(cfg.out_dir) / (args.name or f"{cfg.tag()}-{args.split}")
     paths = pipeline.save_dataset(ds, base)
@@ -167,7 +167,9 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="generate and persist a dataset")
     _add_config_args(p)
-    p.add_argument("--n", type=int, help="sample count (default: config n_train)")
+    p.add_argument("--n", type=int,
+                   help="sample count (default: config n_train; n_test with "
+                        "--split test)")
     p.add_argument("--split", choices=["train", "test"], default="train",
                    help="which seeded sample stream to draw from")
     p.add_argument("--name", help="output base name (default: <tag>-<split>)")

@@ -49,15 +49,6 @@ def basis(j, phi):
     return np.sin(k * phi) if j % 2 == 1 else np.cos(k * phi)
 
 
-def basis_derivative(j, phi):
-    """d/dphi of basis(j, phi)."""
-    if j < 1:
-        raise GeometryError(f"basis index must be >= 1, got {j}")
-    phi = np.asarray(phi, dtype=float)
-    k = (j + 1) // 2
-    return k * np.cos(k * phi) if j % 2 == 1 else -k * np.sin(k * phi)
-
-
 class InterfaceModel:
     """Nominal radius r0 plus a d-term random trigonometric perturbation.
 
@@ -140,11 +131,6 @@ def _series(model, y, z):
 def radius(model, y, phi):
     """Perturbed interface radius r(y; phi); phi may be an array."""
     return model.r0 + _series(model, y, np.exp(1j * np.asarray(phi, dtype=float)))[0]
-
-
-def radius_dphi(model, y, phi):
-    """Angular derivative dr/dphi(y; phi)."""
-    return _series(model, y, np.exp(1j * np.asarray(phi, dtype=float)))[1]
 
 
 class DomainMap:

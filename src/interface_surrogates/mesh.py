@@ -18,13 +18,9 @@ REGION_INNER = 0
 REGION_OUTER = 1
 REGION_PML = 2
 
-_REGION_OF_BAND = {
-    BAND_CORE: REGION_INNER,
-    BAND_INNER: REGION_INNER,
-    BAND_OUTER: REGION_OUTER,
-    BAND_FAR: REGION_OUTER,
-    BAND_PML: REGION_PML,
-}
+# region of each chi-branch tag, indexed by BAND_CORE ... BAND_PML (0 ... 4)
+_REGION_OF_BAND = np.array([REGION_INNER, REGION_INNER, REGION_OUTER,
+                            REGION_OUTER, REGION_PML], dtype=np.uint8)
 
 # mesh size grows away from the interface band by this fraction per unit
 # distance; 0.3 keeps the ratio of neighbouring ring gaps near 1.3
@@ -46,17 +42,13 @@ class Mesh:
     circles   : radii of the circles the mesh conforms to
     """
 
-    def __init__(self, vertices, triangles, region, band, boundary, circles,
-                 shape, h_interface, h_far):
+    def __init__(self, vertices, triangles, region, band, boundary, circles):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.uint32)
         self.region = np.ascontiguousarray(region, dtype=np.uint8)
         self.band = np.ascontiguousarray(band, dtype=np.uint8)
         self.boundary = np.ascontiguousarray(np.sort(boundary), dtype=np.uint32)
         self.circles = tuple(float(c) for c in circles)
-        self.shape = shape  # "square" or "disk"
-        self.h_interface = float(h_interface)
-        self.h_far = float(h_far)
         self._grid = None
 
     @property
@@ -190,43 +182,40 @@ def _ring_radii(anchors, size):
     return np.array(radii)
 
 
-def _band_for_interval(lo, hi, r_inner, r0, r_outer, pml_start):
-    mid = 0.5 * (lo + hi)
-    if pml_start is not None and mid >= pml_start:
-        return BAND_PML
-    if mid <= r_inner:
-        return BAND_CORE
-    if mid <= r0:
-        return BAND_INNER
-    if mid <= r_outer:
-        return BAND_OUTER
-    return BAND_FAR
+def _rings(radii, m, circles, pml_start=None):
+    """Azimuth unit vectors, one m-vertex ring per radius, and the band of
+    the fan and of each annulus, tagged by its mid-radius."""
+    theta = 2 * np.pi * np.arange(m) / m
+    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    mid = 0.5 * (np.concatenate([[0.0], radii[:-1]]) + radii)
+    # BAND_CORE ... BAND_FAR are 0 ... 3 in circle order; side "left" puts a
+    # mid-radius on a circle in the band inside it
+    bands = np.searchsorted(circles, mid, side="left")
+    if pml_start is not None:
+        bands[mid >= pml_start] = BAND_PML
+    return unit, radii[:, None, None] * unit, bands
 
 
 def _assemble_rings(ring_points, ring_bands):
-    """Fan plus strip connectivity for a stack of equal-length vertex rings."""
-    m = ring_points[0].shape[0]
-    nring = len(ring_points)
-    vertices = np.vstack([np.zeros((1, 2))] + ring_points)
-    tris = []
-    bands = []
-    idx = lambda k, i: 1 + k * m + (i % m)
-    for i in range(m):
-        tris.append((0, idx(0, i), idx(0, i + 1)))
-        bands.append(ring_bands[0])
-    for k in range(nring - 1):
-        for i in range(m):
-            a0, a1 = idx(k, i), idx(k, i + 1)
-            b0, b1 = idx(k + 1, i), idx(k + 1, i + 1)
-            tris.append((a0, b0, b1))
-            tris.append((a0, b1, a1))
-            bands.append(ring_bands[k + 1])
-            bands.append(ring_bands[k + 1])
-    triangles = np.array(tris, dtype=np.uint32)
-    band = np.array(bands, dtype=np.uint8)
-    region = np.array([_REGION_OF_BAND[b] for b in band], dtype=np.uint8)
+    """Fan plus strip connectivity for a stack of equal-length vertex rings.
+
+    ring_points is (nring, m, 2); ring_bands holds the band of the fan and
+    of each strip.  The fan comes first, then per ring and azimuth the two
+    strip triangles (a0, b0, b1) and (a0, b1, a1).
+    """
+    nring, m = ring_points.shape[:2]
+    vertices = np.concatenate([np.zeros((1, 2)), ring_points.reshape(-1, 2)])
+    first = 1 + m * np.arange(nring)[:, None]
+    a = first + np.arange(m)  # vertex (k, i)
+    b = first + (np.arange(m) + 1) % m  # vertex (k, i + 1)
+    fan = np.stack([np.zeros(m, dtype=np.int64), a[0], b[0]], axis=1)
+    strips = np.stack([a[:-1], a[1:], b[1:], a[:-1], b[1:], b[:-1]], axis=-1)
+    triangles = np.concatenate([fan, strips.reshape(-1, 3)]).astype(np.uint32)
+    counts = np.full(nring, 2 * m)
+    counts[0] = m
+    band = np.repeat(ring_bands, counts).astype(np.uint8)
     boundary = np.arange(1 + (nring - 1) * m, 1 + nring * m, dtype=np.uint32)
-    return vertices, triangles, region, band, boundary
+    return vertices, triangles, _REGION_OF_BAND[band], band, boundary
 
 
 def _azimuth_count(radii, size, minimum=16):
@@ -246,27 +235,19 @@ def build_square_mesh(r0, r_inner, r_outer, h_interface, h_far):
     size = lambda rho: _size_field(rho, r0, h_interface, h_far)
     radii = _ring_radii([r_inner, r0, r_outer], size)
     m = max(16, 8 * int(round(2 * np.pi * r0 / h_interface / 8)))
-    theta = 2 * np.pi * np.arange(m) / m
-    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    circles = (r_inner, r0, r_outer)
+    unit, ring_points, ring_bands = _rings(radii, m, circles)
 
-    ring_points = [r * unit for r in radii]
-    edges = np.concatenate([[0.0], radii])
-    ring_bands = [_band_for_interval(edges[k], edges[k + 1], r_inner, r0,
-                                     r_outer, None) for k in range(len(radii))]
-
-    # template corner fill: interpolate radially towards the square boundary
+    # template corner fill: interpolate radially towards the square boundary,
+    # the last ring exactly on the square
     square = unit / np.maximum(np.abs(unit[:, 0]), np.abs(unit[:, 1]))[:, None]
     mean_gap = np.mean(np.hypot(square[:, 0], square[:, 1])) - r_outer
     n_fill = max(2, int(round(mean_gap / h_far)))
-    for s in np.linspace(0.0, 1.0, n_fill + 1)[1:]:
-        ring_points.append((1 - s) * r_outer * unit + s * square)
-        ring_bands.append(BAND_FAR)
-    # snap the last ring onto the exact square
-    ring_points[-1] = square
-
-    vertices, triangles, region, band, boundary = _assemble_rings(ring_points, ring_bands)
-    return Mesh(vertices, triangles, region, band, boundary,
-                (r_inner, r0, r_outer), "square", h_interface, h_far)
+    s = np.linspace(0.0, 1.0, n_fill + 1)[1:-1, None, None]
+    fill = (1 - s) * r_outer * unit + s * square
+    ring_points = np.concatenate([ring_points, fill, square[None]])
+    ring_bands = np.concatenate([ring_bands, np.full(n_fill, BAND_FAR)])
+    return Mesh(*_assemble_rings(ring_points, ring_bands), circles)
 
 
 def build_disk_mesh(r0, r_inner, R, pml_thickness, h_interface, h_far):
@@ -291,19 +272,10 @@ def build_disk_mesh(r0, r_inner, R, pml_thickness, h_interface, h_far):
     anchors = [r_inner, r0, R] + ([R + pml_thickness] if pml else [])
     radii = _ring_radii(anchors, size)
     m = _azimuth_count(radii, size)
-    theta = 2 * np.pi * np.arange(m) / m
-    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-
-    ring_points = [r * unit for r in radii]
-    edges = np.concatenate([[0.0], radii])
-    ring_bands = [_band_for_interval(edges[k], edges[k + 1], r_inner, r0, R,
-                                     R if pml else None)
-                  for k in range(len(radii))]
-
-    vertices, triangles, region, band, boundary = _assemble_rings(ring_points, ring_bands)
+    _, ring_points, ring_bands = _rings(radii, m, (r_inner, r0, R),
+                                        R if pml else None)
     circles = (r_inner, r0, R) + ((R + pml_thickness,) if pml else ())
-    return Mesh(vertices, triangles, region, band, boundary,
-                circles, "disk", h_interface, h_far)
+    return Mesh(*_assemble_rings(ring_points, ring_bands), circles)
 
 
 def check_mesh(mesh, tol=1e-12):

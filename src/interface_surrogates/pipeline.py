@@ -462,9 +462,16 @@ def load_dataset(base, config=None):
     return Dataset(samples, qoi, meta)
 
 
+def split_stream(config, split):
+    """Sample count and seed of a dataset split: n_train samples of the
+    config seed's stream for "train", n_test of the test stream for "test"."""
+    if split == "train":
+        return config.n_train, config.seed
+    return config.n_test, config.seed + TEST_STREAM
+
+
 def _ensure_dataset(config, split, out_dir, workers, reuse, stem):
-    n = config.n_train if split == "train" else config.n_test
-    seed = config.seed if split == "train" else config.seed + TEST_STREAM
+    n, seed = split_stream(config, split)
     base = Path(out_dir) / f"{stem}-{split}"
     if reuse and all(p.exists() for p in _paths(base).values()):
         ds = load_dataset(base, config)
@@ -542,7 +549,7 @@ def run_experiment(config, out_dir=None, workers=1, reuse=True, tag=None):
 # ------------------------------------------------------------------- sweeps
 
 
-def _axis_values(base, axes):
+def _axis_values(axes):
     names = list(axes)
     valid = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for name in names:
@@ -595,7 +602,7 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
     top = max(axes["n_points"]) if "n_points" in axes else None
     shared = {}
     cells = []
-    for overrides in _axis_values(base_config, axes):
+    for overrides in _axis_values(axes):
         cell = {"axes": overrides}
         try:
             cfg = dataclasses.replace(base_config, **overrides)

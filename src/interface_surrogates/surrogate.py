@@ -40,10 +40,6 @@ class Mlp:
     def n_layers(self):
         return len(self.weights)
 
-    def copy(self):
-        return Mlp(self.widths, self.beta,
-                   [(A.copy(), b.copy()) for A, b in self.weights])
-
 
 def default_widths(d, n_points, depth=10, hidden=10):
     """Layer widths used throughout: depth affine layers, hidden width 10."""
@@ -273,18 +269,24 @@ def save_network(net, path):
 
 def load_network(path):
     with open(path, "rb") as fh:
+        def read(n):
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path}: truncated checkpoint")
+            return data
+
         if fh.read(4) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a network checkpoint")
-        version, n_widths = struct.unpack("<II", fh.read(8))
+        version, n_widths = struct.unpack("<II", read(8))
         if version != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        widths = list(struct.unpack(f"<{n_widths}I", fh.read(4 * n_widths)))
-        (beta,) = struct.unpack("<d", fh.read(8))
+        widths = list(struct.unpack(f"<{n_widths}I", read(4 * n_widths)))
+        (beta,) = struct.unpack("<d", read(8))
         weights = []
         for ell in range(n_widths - 1):
             n_out, n_in = widths[ell + 1], widths[ell]
-            A = np.frombuffer(fh.read(8 * n_out * n_in), dtype="<f8").reshape(n_out, n_in)
-            b = np.frombuffer(fh.read(8 * n_out), dtype="<f8")
+            A = np.frombuffer(read(8 * n_out * n_in), dtype="<f8").reshape(n_out, n_in)
+            b = np.frombuffer(read(8 * n_out), dtype="<f8")
             weights.append((A.copy(), b.copy()))
         rest = fh.read(1)
         if rest:

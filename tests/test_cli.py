@@ -7,6 +7,7 @@ import pytest
 
 from interface_surrogates import cli
 from interface_surrogates import pipeline as pl
+from interface_surrogates import surrogate
 
 
 def tiny_dict(out_dir, **over):
@@ -68,6 +69,23 @@ def test_gen_data_train_evaluate_roundtrip(tmp_path, capsys):
     pred = np.loadtxt(pred_file, delimiter=",", ndmin=2)
     assert pred.shape == (2, 2)
     np.testing.assert_array_equal(pred[0], pred[1])
+
+
+def test_gen_data_test_split_defaults_to_n_test(tmp_path, capsys):
+    cfg_file = write_config(tmp_path, n_train=5, n_test=3)
+    assert cli.main(["gen-data", "--config", str(cfg_file), "--split", "test"]) == 0
+    capsys.readouterr()
+    ds = pl.load_dataset(tmp_path / "out" / "elliptic-d4-p3-a10-np2-test")
+    assert ds.n == 3
+    assert ds.meta["seed"] == 9 + pl.TEST_STREAM
+
+
+def test_evaluate_truncated_checkpoint_exit_2(tmp_path, capsys):
+    ckpt = tmp_path / "net.mlpc"
+    surrogate.save_network(surrogate.init([4, 3, 2], seed=0), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes()[:14])
+    assert cli.main(["evaluate", "--network", str(ckpt), "--y", "0,0,0,0"]) == 2
+    assert "truncated checkpoint" in capsys.readouterr().err
 
 
 def test_gen_data_custom_name(tmp_path, capsys):

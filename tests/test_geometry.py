@@ -15,7 +15,6 @@ from interface_surrogates.geometry import (
     InterfaceModel,
     band_of,
     basis,
-    basis_derivative,
     kink_hyperplane,
     map_forward,
     map_inverse,
@@ -24,7 +23,6 @@ from interface_surrogates.geometry import (
     mollifier,
     mollifier_slope,
     radius,
-    radius_dphi,
 )
 
 # worst-case relative interface displacement in percent, one row per decay
@@ -55,14 +53,6 @@ def test_basis_periodic():
     phis = np.linspace(-3.0, 3.0, 17)
     for j in range(1, 11):
         assert np.allclose(basis(j, phis + 2 * np.pi), basis(j, phis), atol=1e-9)
-
-
-def test_basis_derivative_fd():
-    phis = np.linspace(-2.0, 2.0, 9)
-    h = 1e-6
-    for j in range(1, 9):
-        fd = (basis(j, phis + h) - basis(j, phis - h)) / (2 * h)
-        assert np.allclose(basis_derivative(j, phis), fd, atol=1e-8)
 
 
 def test_radius_worked_value():
@@ -98,7 +88,8 @@ def test_radius_dphi_fd():
     phis = np.linspace(0, 2 * np.pi, 11)
     h = 1e-6
     fd = (radius(m, y, phis + h) - radius(m, y, phis - h)) / (2 * h)
-    assert np.allclose(radius_dphi(m, y, phis), fd, atol=1e-7)
+    dr = geometry._series(m, y, np.exp(1j * phis))[1]
+    assert np.allclose(dr, fd, atol=1e-7)
 
 
 SERIES_DIMS = [2, 8, 16, 64, 128]
@@ -139,10 +130,10 @@ def test_series_matches_direct_trigonometric_sum(d):
     assert np.abs(from_points - shift).max() <= tol * np.abs(shift).max()
     r = radius(m, y, phi)
     assert np.abs(r - (m.r0 + shift)).max() <= tol * np.abs(r).max()
-    assert np.abs(radius_dphi(m, y, phi) - dr).max() <= tol * np.abs(dr).max()
     # scalar and 2-D angle arrays keep their shape
     assert np.shape(radius(m, y, 0.25)) == ()
-    assert radius_dphi(m, y, phi.reshape(2, -1)).shape == (2, phi.size // 2)
+    z = np.exp(1j * phi.reshape(2, -1))
+    assert geometry._series(m, y, z)[1].shape == (2, phi.size // 2)
 
 
 @pytest.mark.parametrize("d", SERIES_DIMS)

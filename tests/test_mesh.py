@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from interface_surrogates.geometry import BAND_INNER, BAND_OUTER, BAND_PML
+from interface_surrogates import mesh as mesh_module
+from interface_surrogates.geometry import (
+    BAND_CORE,
+    BAND_FAR,
+    BAND_INNER,
+    BAND_OUTER,
+    BAND_PML,
+)
 from interface_surrogates.mesh import (
     REGION_INNER,
     REGION_OUTER,
@@ -232,8 +239,7 @@ def test_checker_catches_flipped_triangle(square_coarse):
     tris[10] = tris[10][::-1]
     bad = Mesh(square_coarse.vertices, tris, square_coarse.region,
                square_coarse.band, square_coarse.boundary,
-               square_coarse.circles, "square",
-               square_coarse.h_interface, square_coarse.h_far)
+               square_coarse.circles)
     with pytest.raises(MeshError):
         check_mesh(bad)
 
@@ -245,7 +251,100 @@ def test_checker_catches_straddle(square_coarse):
     band[outer_tri] = BAND_INNER
     bad = Mesh(square_coarse.vertices, square_coarse.triangles,
                square_coarse.region, band, square_coarse.boundary,
-               square_coarse.circles, "square",
-               square_coarse.h_interface, square_coarse.h_far)
+               square_coarse.circles)
     with pytest.raises(MeshError):
         check_mesh(bad)
+
+
+# -- array ring assembly against the per-triangle loop it replaced ---------
+
+
+def loop_band(lo, hi, r_inner, r0, r_outer, pml_start):
+    mid = 0.5 * (lo + hi)
+    if pml_start is not None and mid >= pml_start:
+        return BAND_PML
+    if mid <= r_inner:
+        return BAND_CORE
+    if mid <= r0:
+        return BAND_INNER
+    if mid <= r_outer:
+        return BAND_OUTER
+    return BAND_FAR
+
+
+LOOP_REGION = {BAND_CORE: REGION_INNER, BAND_INNER: REGION_INNER,
+               BAND_OUTER: REGION_OUTER, BAND_FAR: REGION_OUTER,
+               BAND_PML: REGION_PML}
+
+
+def loop_assemble(ring_points, radii, circles, pml_start):
+    """Fan plus strips appended one triangle at a time; each annulus is
+    tagged by the mid-radius of the radii bounding it."""
+    edges = np.concatenate([[0.0], radii])
+    ring_bands = [loop_band(edges[k], edges[k + 1], *circles, pml_start)
+                  for k in range(len(radii))]
+    m = ring_points[0].shape[0]
+    nring = len(ring_points)
+    vertices = np.vstack([np.zeros((1, 2))] + list(ring_points))
+    tris, bands = [], []
+    idx = lambda k, i: 1 + k * m + (i % m)
+    for i in range(m):
+        tris.append((0, idx(0, i), idx(0, i + 1)))
+        bands.append(ring_bands[0])
+    for k in range(nring - 1):
+        for i in range(m):
+            a0, a1 = idx(k, i), idx(k, i + 1)
+            b0, b1 = idx(k + 1, i), idx(k + 1, i + 1)
+            tris.append((a0, b0, b1))
+            tris.append((a0, b1, a1))
+            bands.extend([ring_bands[k + 1]] * 2)
+    band = np.array(bands, dtype=np.uint8)
+    region = np.array([LOOP_REGION[b] for b in band], dtype=np.uint8)
+    boundary = np.arange(1 + (nring - 1) * m, 1 + nring * m, dtype=np.uint32)
+    return (vertices, np.array(tris, dtype=np.uint32), region, band, boundary)
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("radii, m, pml_start", [
+    # every annulus mid-radius lands exactly on a circle or the layer start
+    ([0.5, 1.0, 1.5, 2.0, 2.5], 8, None),
+    ([0.5, 1.0, 1.5, 2.0, 2.5], 8, 1.75),
+    ([0.5, 1.0, 1.5, 2.0, 2.5], 16, 2.25),
+    # ring radii on the circles, as the mesh builders place them
+    ([0.125, 0.25, 0.5, 0.75, 1.25, 1.5], 24, None),
+    ([0.25, 0.75, 1.25, 2.0], 16, 1.25),
+    # a single ring: the fan alone
+    ([0.3], 8, None),
+    ([1.5], 8, 0.5),
+])
+def test_ring_assembly_matches_loop(radii, m, pml_start):
+    radii = np.array(radii)
+    circles = (0.25, 0.75, 1.25)
+    _, points, bands = mesh_module._rings(radii, m, circles, pml_start)
+    got = mesh_module._assemble_rings(points, bands)
+    assert_same_arrays(got, loop_assemble(points, radii, circles, pml_start))
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_square_mesh, (0.5, 0.125, 0.875, 0.04, 0.12)),
+    (build_square_mesh, (0.5, 0.125, 0.875, 0.06, 0.2)),
+    (build_disk_mesh, (0.5, 0.125, 1.0, 0.0, 0.05, 0.1)),
+    (build_disk_mesh, (0.01, 0.0025, 0.055, 0.02, 0.002, 0.006)),
+    (build_disk_mesh, (0.5, 0.125, 1.0, 1.0, 0.2, 0.4)),
+])
+def test_mesh_matches_loop_assembly(build, args):
+    mesh = build(*args)
+    m = int(np.count_nonzero(mesh.triangles[:, 0] == 0))
+    points = mesh.vertices[1:].reshape(-1, m, 2)
+    # azimuth 0 is the +x axis, where a ring's x coordinate is its radius
+    # (and the square's template rings lie beyond the outer circle)
+    radii = points[:, 0, 0]
+    pml_start = mesh.circles[2] if len(mesh.circles) > 3 else None
+    want = loop_assemble(points, radii, mesh.circles[:3], pml_start)
+    assert_same_arrays((mesh.vertices, mesh.triangles, mesh.region, mesh.band,
+                        mesh.boundary), want)

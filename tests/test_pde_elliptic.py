@@ -47,8 +47,7 @@ def unit_square_patch():
     region = np.full(2, REGION_OUTER)
     band = np.full(2, BAND_FAR)
     boundary = np.array([], dtype=np.uint32)
-    return Mesh(verts, tris, region, band, boundary, (0.2, 0.4, 0.7),
-                "square", 1.0, 1.0)
+    return Mesh(verts, tris, region, band, boundary, (0.2, 0.4, 0.7))
 
 
 def test_patch_stiffness_matches_hand_values():

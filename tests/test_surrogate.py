@@ -319,9 +319,16 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_network(path)
     good = tmp_path / "net.mlpc"
     save_network(init([3, 4, 2], seed=0), good)
-    good.write_bytes(good.read_bytes() + b"\x00")
-    with pytest.raises(ValueError):
+    data = good.read_bytes()
+    good.write_bytes(data + b"\x00")
+    with pytest.raises(ValueError, match="trailing bytes"):
         load_network(good)
+    # a checkpoint cut anywhere, header included, is a ValueError naming it
+    cut = tmp_path / "cut.mlpc"
+    for end in range(len(data)):
+        cut.write_bytes(data[:end])
+        with pytest.raises(ValueError, match="cut.mlpc"):
+            load_network(cut)
 
 
 def test_report_json():
