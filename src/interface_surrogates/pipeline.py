@@ -80,8 +80,14 @@ class ExperimentConfig:
         if self.problem not in ("elliptic", "helmholtz"):
             raise PipelineError(f"unknown problem kind {self.problem!r}")
         self.direction = tuple(float(v) for v in self.direction)
-        if self.n_points < 1:
-            raise PipelineError("n_points must be >= 1")
+        for name, low in (("n_points", 1), ("n_train", 1), ("n_test", 1),
+                          ("epochs", 1), ("restarts", 1), ("depth", 2)):
+            if getattr(self, name) < low:
+                raise PipelineError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise PipelineError(f"lr must be > 0, got {self.lr}")
+        if not 0 <= self.beta <= 1:
+            raise PipelineError(f"beta must be in [0, 1], got {self.beta}")
         if not (0 <= self.seed < 2**63):
             raise PipelineError("seed must be in [0, 2**63)")
         if self.problem == "helmholtz":

@@ -3,6 +3,12 @@
 Everything is plain float64 numpy: the networks are small enough that a
 hand-written reverse pass is both faster to verify and bit-reproducible.
 Training runs full batch with multi-restart selection by test error.
+
+An epoch is one forward and one reverse pass, both in buffers allocated
+once per train call; backward returns the loss of its own forward pass.
+That is the loss before the epoch's step, so the loss history, which
+records the loss after each step, takes it from the next epoch's pass,
+and one loss() after the last step completes it.
 """
 
 import contextlib
@@ -60,57 +66,116 @@ def init(widths, beta=0.2, seed=0):
     return Mlp(widths, beta, weights)
 
 
-def _forward_cached(net, Y):
-    """All pre-activations and activations, for the reverse pass."""
-    zs = [Y]
-    pres = []
+class _Work:
+    """Buffers for training on one batch, allocated once per train call.
+
+    Each hidden layer keeps its activation and its pre > 0 mask for the
+    reverse pass.  ``ping`` and ``pong`` hold the gradient in turn and
+    ``scratch`` takes the hidden pre-activations and the activation
+    slopes; all three are flat, sized for the widest layer.  ``norms``
+    are the squared target norms, checked once.
+    """
+
+    def __init__(self, widths, Q):
+        self.n = n = Q.shape[0]
+        self.norms = _target_norms(Q)
+        self.scale = n * self.norms[:, None]
+        self.acts = [np.empty((n, w)) for w in widths[1:-1]]
+        self.masks = [np.empty((n, w), dtype=bool) for w in widths[1:-1]]
+        self.ping, self.pong, self.scratch = (np.empty(n * max(widths[1:]))
+                                              for _ in range(3))
+
+    def view(self, flat, width):
+        """The leading (n, width) block of a flat buffer, C-contiguous."""
+        return flat[: self.n * width].reshape(self.n, width)
+
+
+def _forward(net, Y, work=None):
+    """Output of the network for the batch Y.  With work, each hidden
+    activation and its mask stay in work for backward and the output is
+    written to work.ping; without, every array is fresh.
+
+    The activation is maximum(pre, beta * pre), which for 0 <= beta <= 1
+    is pre where pre > 0 and beta * pre elsewhere, except that beta = 0
+    maps pre = +inf to NaN.
+    """
     z = Y
     for ell, (A, b) in enumerate(net.weights):
-        pre = z @ A.T + b
-        pres.append(pre)
-        if ell < net.n_layers - 1:
-            z = np.where(pre > 0, pre, net.beta * pre)
+        hidden = ell < net.n_layers - 1
+        into = None
+        if work is not None:
+            into = work.view(work.scratch if hidden else work.ping, A.shape[0])
+        pre = np.matmul(z, A.T, out=into)
+        pre += b
+        if not hidden:
+            return pre
+        if work is None:
+            z = np.maximum(pre, net.beta * pre)
         else:
-            z = pre
-        zs.append(z)
-    return pres, zs
+            np.greater(pre, 0, out=work.masks[ell])
+            z = np.multiply(pre, net.beta, out=work.acts[ell])
+            np.maximum(pre, z, out=z)
 
 
 def forward(net, y):
     """Realization of the network; accepts a single input or a batch."""
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
-    out = _forward_cached(net, np.atleast_2d(y))[1][-1]
+    out = _forward(net, np.atleast_2d(y))
     return out[0] if single else out
+
+
+def _target_norms(Q):
+    norms = np.sum(Q * Q, axis=1)
+    if np.any(norms == 0):
+        raise ValueError("zero-norm target in batch")
+    return norms
+
+
+def _relative_loss(residual, norms):
+    return float(np.mean(np.sum(residual * residual, axis=1) / norms))
 
 
 def loss(net, Y, Q):
     """Mean relative squared Euclidean error over the batch."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    norms = np.sum(Q * Q, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("zero-norm target in batch")
-    out = forward(net, np.atleast_2d(Y))
-    return float(np.mean(np.sum((Q - out) ** 2, axis=1) / norms))
+    norms = _target_norms(Q)
+    return _relative_loss(forward(net, np.atleast_2d(Y)) - Q, norms)
 
 
-def backward(net, Y, Q):
-    """Gradient of loss() for every (A, b); slope at the kink taken as beta."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    norms = np.sum(Q * Q, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("zero-norm target in batch")
-    pres, zs = _forward_cached(net, Y)
-    n = Y.shape[0]
-    G = 2.0 * (zs[-1] - Q) / (n * norms[:, None])
+def backward(net, Y, Q, work=None):
+    """loss() and its gradient for every (A, b) from one forward pass.
+
+    Returns (value, grads): value equals loss(net, Y, Q) bit for bit, and
+    grads are fresh arrays.  The slope at the kink is taken as beta.
+    ``work`` is the _Work that train builds once for this batch.
+    """
+    if work is None:
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        work = _Work(net.widths, Q)
+    G = _forward(net, Y, work)
+    G -= Q
+    value = _relative_loss(G, work.norms)
+    G *= 2.0
+    G /= work.scale
+    # 1 - beta + beta rounds to exactly 1.0 for 0 <= beta <= 1, so each
+    # slope entry is exactly 1.0 or beta
+    rest = 1.0 - net.beta
+    ping, pong = work.ping, work.pong
     grads = [None] * net.n_layers
     for ell in range(net.n_layers - 1, -1, -1):
         A, _ = net.weights[ell]
-        grads[ell] = (G.T @ zs[ell], G.sum(axis=0))
+        z = work.acts[ell - 1] if ell > 0 else Y
+        grads[ell] = (G.T @ z, G.sum(axis=0))
         if ell > 0:
-            G = (G @ A) * np.where(pres[ell - 1] > 0, 1.0, net.beta)
-    return grads
+            G = np.matmul(G, A, out=work.view(pong, A.shape[1]))
+            ping, pong = pong, ping
+            slope = np.multiply(work.masks[ell - 1], rest,
+                                out=work.view(work.scratch, A.shape[1]))
+            slope += net.beta
+            G *= slope
+    return value, grads
 
 
 class AdamState:
@@ -176,6 +241,8 @@ class TrainReport:
             "seed": self.seed,
             "wall_time": self.wall_time,
             "epochs_run": int(self.loss_history.size),
+            "epoch_ms": (1000.0 * self.wall_time / self.loss_history.size
+                         if self.loss_history.size else None),
             "final_loss": float(self.loss_history[-1]) if self.loss_history.size else None,
             "hyperparams": self.hyperparams,
             "diverged": self.diverged,
@@ -190,11 +257,16 @@ def train(train_set, test_set, widths, epochs, restarts=1, base_seed=0,
     epoch budget; the network with the lowest test error (square root of
     the relative-L2 loss on the held-out set) wins.  A restart whose loss
     turns NaN is recorded as diverged and skipped for selection.
+    callback(restart, epoch, loss after that epoch's step) is called for
+    every finite loss, as soon as the next forward pass has computed it.
     """
     Y_tr, Q_tr = (np.atleast_2d(np.asarray(a, dtype=float)) for a in train_set)
     Y_te, Q_te = (np.atleast_2d(np.asarray(a, dtype=float)) for a in test_set)
     if Y_tr.shape[0] == 0 or Y_te.shape[0] == 0:
         raise ValueError("empty train or test set")
+    if restarts < 1 or epochs < 0:
+        raise ValueError(f"need restarts >= 1 and epochs >= 0, got {restarts} "
+                         f"and {epochs}")
     hyper = {
         "widths": list(widths),
         "beta": beta,
@@ -204,32 +276,37 @@ def train(train_set, test_set, widths, epochs, restarts=1, base_seed=0,
         "epochs": epochs,
         "restarts": restarts,
     }
+    work = _Work(widths, Q_tr)
     best = None
     reports = []
     for r in range(restarts):
         seed = base_seed + r
         net = init(widths, beta=beta, seed=seed)
         state = AdamState(net, lr=lr)
-        history = np.empty(epochs)
+        history = []
         t0 = time.perf_counter()
-        diverged = False
-        for epoch in range(epochs):
-            grads = backward(net, Y_tr, Q_tr)
-            adam_step(net, grads, state)
-            history[epoch] = loss(net, Y_tr, Q_tr)
-            if not np.isfinite(history[epoch]):
-                history = history[: epoch + 1]
-                diverged = True
-                break
-            if callback is not None:
-                callback(r, epoch, history[epoch])
+        # backward returns the loss before its step, which is the loss after
+        # the previous step; one loss() after the loop gives the last one
+        for epoch in range(epochs + 1):
+            if epoch < epochs:
+                value, grads = backward(net, Y_tr, Q_tr, work)
+            else:
+                value = loss(net, Y_tr, Q_tr)
+            if epoch > 0:
+                history.append(value)
+                if not np.isfinite(value):
+                    break
+                if callback is not None:
+                    callback(r, epoch - 1, value)
+            if epoch < epochs:
+                adam_step(net, grads, state)
         wall = time.perf_counter() - t0
+        diverged = bool(history) and not np.isfinite(history[-1])
         if diverged:
             report = TrainReport(history, np.inf, np.inf, r, seed, wall,
                                  hyper, diverged=True)
         else:
-            report = TrainReport(history,
-                                 np.sqrt(loss(net, Y_tr, Q_tr)),
+            report = TrainReport(history, np.sqrt(value),
                                  np.sqrt(loss(net, Y_te, Q_te)),
                                  r, seed, wall, hyper)
         reports.append(report)

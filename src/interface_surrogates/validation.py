@@ -299,7 +299,7 @@ def _fd_gradient_error():
     rng = np.random.default_rng(2)
     Y = rng.uniform(-1, 1, (5, 3))
     Q = rng.uniform(0.5, 1.5, (5, 2))
-    grads = surrogate.backward(net, Y, Q)
+    _, grads = surrogate.backward(net, Y, Q)
     flat = np.concatenate([np.concatenate([gA.ravel(), gb]) for gA, gb in grads])
     h = 1e-6
     fd = np.empty_like(flat)

@@ -191,6 +191,14 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_untrainable_config_exit_2(tmp_path, capsys):
+    # rejected when the config is read, before any sample is generated
+    path = write_config(tmp_path, restarts=0)
+    assert cli.main(["train", "--config", str(path)]) == 2
+    assert "restarts" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "interface_surrogates",
                            "--help"], capture_output=True, text=True)

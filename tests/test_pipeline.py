@@ -68,6 +68,16 @@ def test_config_rejections():
         pl.ExperimentConfig.from_dict({"problem": "elliptic", "colour": 3})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("restarts", 0), ("epochs", 0), ("lr", -1.0), ("lr", 0.0), ("beta", 2.0),
+    ("beta", -0.1), ("depth", 1), ("n_train", 0), ("n_test", 0)])
+def test_config_rejects_untrainable_values(field, value):
+    with pytest.raises(pl.PipelineError, match=field):
+        pl.ExperimentConfig(**{field: value})
+    with pytest.raises(pl.PipelineError, match=field):
+        dataclasses.replace(tiny_config(), **{field: value})
+
+
 def test_helmholtz_rejects_cg_tol():
     # Helmholtz solves stop at pde.COCG_TOL, so a cg_tol there would be ignored
     with pytest.raises(pl.PipelineError, match="cg_tol"):
@@ -295,6 +305,11 @@ def test_run_experiment_record_and_outputs(tmp_path):
     assert (tmp_path / f"{cfg.tag()}.mlpc").exists()
     saved = json.loads((tmp_path / f"{cfg.tag()}.result.json").read_text())
     assert saved["test_error"] == record["test_error"]
+    restart = saved["restarts"][0]
+    assert restart["epochs_run"] == cfg.epochs
+    assert restart["epoch_ms"] == pytest.approx(1000 * restart["wall_time"]
+                                                / cfg.epochs)
+    assert restart["epoch_ms"] > 0
     for split in ("train", "test"):
         assert (tmp_path / f"{cfg.tag()}-{split}.samples.csv").exists()
 

@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+from interface_surrogates import surrogate
 from interface_surrogates.surrogate import (
     AdamState,
     Mlp,
@@ -156,7 +157,7 @@ def test_backward_matches_finite_differences():
     rng = np.random.default_rng(2)
     Y = rng.uniform(-1, 1, (5, 3))
     Q = rng.uniform(0.5, 1.5, (5, 2))
-    grads = backward(net, Y, Q)
+    _, grads = backward(net, Y, Q)
     flat_grad = np.concatenate([np.concatenate([gA.ravel(), gb]) for gA, gb in grads])
 
     theta = flatten_params(net)
@@ -187,14 +188,14 @@ def test_backward_affine_closed_form():
     out = Y @ A.T + b
     norms = np.sum(Q * Q, axis=1)
     R = 2 * (out - Q) / (len(Y) * norms[:, None])
-    gA, gb = backward(net, Y, Q)[0]
+    gA, gb = backward(net, Y, Q)[1][0]
     np.testing.assert_allclose(gA, R.T @ Y, rtol=1e-12)
     np.testing.assert_allclose(gb, R.sum(axis=0), rtol=1e-12)
 
 
 def test_backward_finite_on_zero_network():
     net = zero_net(3, 2)
-    grads = backward(net, np.zeros((4, 3)), np.ones((4, 2)))
+    _, grads = backward(net, np.zeros((4, 3)), np.ones((4, 2)))
     for gA, gb in grads:
         assert np.all(np.isfinite(gA)) and np.all(np.isfinite(gb))
 
@@ -292,6 +293,88 @@ def test_train_all_divergent_raises():
                   lr=1e300)
 
 
+def reference_train(tr, te, widths, epochs, restarts, base_seed, beta, lr):
+    """The training loop step by step: backward, adam_step, then loss()
+    after every step.  Returns (net, history, train error, test error)
+    per restart."""
+    runs = []
+    for r in range(restarts):
+        net = init(widths, beta=beta, seed=base_seed + r)
+        state = AdamState(net, lr=lr)
+        history = []
+        for _ in range(epochs):
+            before = loss(net, *tr)
+            value, grads = backward(net, *tr)
+            assert value == before
+            adam_step(net, grads, state)
+            history.append(loss(net, *tr))
+        runs.append((net, history, np.sqrt(loss(net, *tr)), np.sqrt(loss(net, *te))))
+    return runs
+
+
+@pytest.mark.parametrize("widths", [[4, 10, 10, 3], [4, 7, 12, 5, 3]])
+@pytest.mark.parametrize("beta", [0.0, 0.2, 1.0])
+def test_train_equals_reference_loop(beta, widths):
+    tr, te = affine_dataset(n_train=96, n_test=32)
+    kw = dict(epochs=60, restarts=2, base_seed=5, beta=beta, lr=5e-3)
+    net, best, reports = train(tr, te, widths, **kw)
+    runs = reference_train(tr, te, widths, **kw)
+    for report, (ref_net, history, train_error, test_error) in zip(reports, runs):
+        np.testing.assert_array_equal(report.loss_history, history)
+        assert report.train_error == train_error
+        assert report.test_error == test_error
+    for (A, b), (A_ref, b_ref) in zip(net.weights, runs[best.restart][0].weights):
+        np.testing.assert_array_equal(A, A_ref)
+        np.testing.assert_array_equal(b, b_ref)
+
+
+def test_backward_grads_do_not_alias_work():
+    (Y, Q), _ = affine_dataset(n_train=64, n_test=8)
+    net = init([4, 10, 10, 3], seed=2)
+    work = surrogate._Work(net.widths, Q)
+    _, grads = backward(net, Y, Q, work)
+    kept = [(gA.copy(), gb.copy()) for gA, gb in grads]
+    adam_step(net, grads, AdamState(net, lr=1e-2))
+    _, again = backward(net, Y, Q, work)
+    for (gA, gb), (kA, kb), (aA, ab) in zip(grads, kept, again):
+        np.testing.assert_array_equal(gA, kA)
+        np.testing.assert_array_equal(gb, kb)
+        assert not np.array_equal(aA, kA)
+
+
+def test_train_divergence_after_the_last_step():
+    # the one step blows the weights up, so only the loss after the last
+    # step is non-finite; the restart is still diverged
+    tr, te = affine_dataset(n_train=32, n_test=16)
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="all restarts diverged"):
+            train(tr, te, [4, 10, 3], epochs=1, restarts=1, lr=1e300,
+                  callback=lambda *args: seen.append(args))
+    assert seen == []
+
+
+def test_train_zero_epochs_returns_the_initial_net():
+    tr, te = affine_dataset(n_train=32, n_test=16)
+    net, report, _ = train(tr, te, [4, 10, 3], epochs=0, restarts=2, base_seed=4)
+    assert report.loss_history.size == 0 and not report.diverged
+    data = report.to_dict()
+    assert data["final_loss"] is None and data["epoch_ms"] is None
+    start = init([4, 10, 3], seed=4 + report.restart)
+    for (A, b), (A0, b0) in zip(net.weights, start.weights):
+        np.testing.assert_array_equal(A, A0)
+        np.testing.assert_array_equal(b, b0)
+    assert report.train_error == np.sqrt(loss(start, *tr))
+    assert report.test_error == np.sqrt(loss(start, *te))
+
+
+@pytest.mark.parametrize("kw", [dict(restarts=0), dict(epochs=-1)])
+def test_train_rejects_bad_budget(kw):
+    tr, te = affine_dataset(n_train=32, n_test=16)
+    with pytest.raises(ValueError):
+        train(tr, te, [4, 10, 3], **{"epochs": 10, "restarts": 1, **kw})
+
+
 def test_train_empty_raises():
     with pytest.raises(ValueError):
         train((np.empty((0, 4)), np.empty((0, 1))),
@@ -336,6 +419,7 @@ def test_report_json():
     _, report, _ = train(tr, te, [4, 10, 3], epochs=100, restarts=1, base_seed=3)
     data = json.loads(json.dumps(report.to_dict()))
     assert data["epochs_run"] == 100
+    assert data["epoch_ms"] == pytest.approx(1000 * report.wall_time / 100)
     assert data["test_error"] == report.test_error
     assert data["gap"] == pytest.approx((report.test_error - report.train_error)
                                         / report.test_error)
