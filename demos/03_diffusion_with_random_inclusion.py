@@ -19,7 +19,7 @@ cfg = pl.ExperimentConfig(problem="elliptic", d=8, p=3.0, alpha_i=10.0,
                           n_points=4)
 ws = pl.Workspace(cfg)
 print(f"mesh: {ws.mesh.n_vertices} vertices, solver: preconditioned CG")
-print(f"evaluation points on the nominal circle:\n{cfg.eval_points()}")
+print(f"evaluation points on the nominal circle:\n{ws.points}")
 
 # --- one solve per parameter draw ------------------------------------------
 for seed in range(3):
@@ -41,7 +41,7 @@ print("\ninterface value vs contrast (y = 0):")
 for alpha in (1.0, 10.0, 100.0, 1000.0):
     cfg_a = pl.ExperimentConfig(problem="elliptic", d=8, alpha_i=alpha,
                                 n_points=1)
-    field = pl.Workspace(cfg_a).problem.solve(np.zeros(8))
-    val = evaluate_qoi(field, cfg_a.domain_map(), np.zeros(8),
-                       cfg_a.eval_points(), "value")[0]
+    ws_a = pl.Workspace(cfg_a)
+    field = ws_a.problem.solve(np.zeros(8))
+    val = evaluate_qoi(field, ws_a.dm, np.zeros(8), ws_a.points, "value")[0]
     print(f"  alpha_i = {alpha:7.1f}   u(0.5, 0) = {val:.6f}")

@@ -50,6 +50,6 @@ print(f"\nmatched material: |u|(r0, 0) = {amp:.6f} (incident amplitude 1)")
 # the interface deforms, so any deviation from 1 here is the discretization
 # error of the pulled-back (mapped-coefficient) solve at this mesh size.
 y = pl.sample_parameters(3, 0, 8)
-q = evaluate_qoi(ws.problem.solve(y), ws.dm, y, cfg.eval_points(), "amplitude")
+q = evaluate_qoi(ws.problem.solve(y), ws.dm, y, ws.points, "amplitude")
 print(f"perturbed interface, same material: |u|(r0, 0) = {q[0]:.6f}")
 print("  (deviation from 1 = mapped-solve discretization error)")

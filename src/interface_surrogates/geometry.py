@@ -33,8 +33,6 @@ BAND_OUTER = 2   # r0 <= rho <= r_outer, chi falling
 BAND_FAR = 3     # rho >= r_outer, identity
 BAND_PML = 4     # absorbing annulus (disk meshes), identity
 
-IDENTITY_BANDS = (BAND_CORE, BAND_FAR, BAND_PML)
-
 
 class GeometryError(ValueError):
     """Invalid interface model, mapping parameters, or evaluation point."""
@@ -81,9 +79,6 @@ class InterfaceModel:
     def amplitude(self):
         """Upper bound for max_{y,phi} |r(y;phi) - r0| (exact per pair)."""
         return float(np.sqrt(2.0) * self.b[1::2].sum())
-
-    def to_dict(self):
-        return {"r0": self.r0, "d": self.d, "p": self.p, "c": self.c}
 
     def __repr__(self):
         return f"InterfaceModel(r0={self.r0}, d={self.d}, p={self.p}, c={self.c})"
@@ -166,16 +161,6 @@ class DomainMap:
     @property
     def r0(self):
         return self.model.r0
-
-    def to_dict(self):
-        d = self.model.to_dict()
-        d.update({"r_inner": self.r_inner, "r_outer": self.r_outer})
-        return d
-
-    @classmethod
-    def from_dict(cls, cfg):
-        model = InterfaceModel(cfg["r0"], cfg["d"], cfg["p"], cfg["c"])
-        return cls(model, cfg.get("r_inner"), cfg.get("r_outer"))
 
     def __repr__(self):
         return f"DomainMap({self.model!r}, r_inner={self.r_inner}, r_outer={self.r_outer})"

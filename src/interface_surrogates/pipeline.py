@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import numbers
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -102,45 +103,10 @@ class ExperimentConfig:
                     f"{ki**2 / ko**2:.4g} exceeds alpha_i = {self.alpha_i:.4g}"
                 )
 
-    # -- resolved parameters ---------------------------------------------
-
-    def nominal_radius(self):
-        if self.r0 is not None:
-            return float(self.r0)
-        return 0.5 if self.problem == "elliptic" else 0.01
-
-    def mollifier_radii(self):
-        r0 = self.nominal_radius()
-        inner = r0 / 4 if self.r_inner is None else float(self.r_inner)
-        if self.r_outer is not None:
-            outer = float(self.r_outer)
-        else:
-            outer = 1.75 * r0 if self.problem == "elliptic" else self.R
-        return inner, outer
-
     def wavenumbers(self):
         ko = K0 if self.kappa_o is None else float(self.kappa_o)
         ki = 0.8 * ko if self.kappa_i is None else float(self.kappa_i)
         return ko, ki
-
-    def mesh_sizes(self):
-        if self.problem == "elliptic":
-            r0 = self.nominal_radius()
-            h_int = 0.06 * r0 if self.h_interface is None else self.h_interface
-            h_far = 0.16 * r0 if self.h_far is None else self.h_far
-        else:
-            # hold elements per wavelength fixed under wavenumber sweeps
-            wavelength = 2 * np.pi / self.wavenumbers()[0]
-            h_int = wavelength / 12 if self.h_interface is None else self.h_interface
-            h_far = wavelength / 12 if self.h_far is None else self.h_far
-        return float(h_int), float(h_far)
-
-    def eval_points(self):
-        radius = self.nominal_radius() if self.point_radius is None else self.point_radius
-        return circle_points(radius, self.n_points)
-
-    def qoi_kind(self):
-        return "value" if self.problem == "elliptic" else "amplitude"
 
     def solver_tol(self):
         """Relative residual at which the problem's Krylov solve stops."""
@@ -149,51 +115,39 @@ class ExperimentConfig:
     def widths(self):
         return surrogate.default_widths(self.d, self.n_points, depth=self.depth)
 
-    # -- builders ----------------------------------------------------------
-
-    def domain_map(self):
-        model = InterfaceModel(self.nominal_radius(), self.d, self.p, self.c)
-        inner, outer = self.mollifier_radii()
-        return DomainMap(model, inner, outer)
-
-    def build_mesh(self):
-        r0 = self.nominal_radius()
-        inner, outer = self.mollifier_radii()
-        h_int, h_far = self.mesh_sizes()
-        if self.problem == "elliptic":
-            return build_square_mesh(r0, inner, outer, h_int, h_far)
-        return build_disk_mesh(r0, inner, self.R, self.pml_thickness, h_int, h_far)
-
-    def make_problem(self, mesh, dm):
-        if self.problem == "elliptic":
-            return EllipticProblem(mesh, dm, self.alpha_i, cg_tol=self.cg_tol)
-        ko, ki = self.wavenumbers()
-        return HelmholtzProblem(mesh, dm, self.alpha_i, ki, ko,
-                                direction=self.direction,
-                                pml_damping=self.pml_damping)
-
     # -- identity ----------------------------------------------------------
 
     def data_signature(self):
-        """Resolved values of every field that affects dataset content."""
-        inner, outer = self.mollifier_radii()
-        h_int, h_far = self.mesh_sizes()
-        radius = self.nominal_radius() if self.point_radius is None else self.point_radius
+        """Resolved values of every field that affects dataset content.
+
+        This is the one place where the None fields take their
+        problem-specific defaults; Workspace builds the map, mesh, problem,
+        evaluation points and QoI kind from these values alone, so no field
+        outside the signature can change a dataset.
+        """
+        elliptic = self.problem == "elliptic"
+        r0 = float(self.r0) if self.r0 is not None else (0.5 if elliptic else 0.01)
+        if elliptic:
+            h_int, h_far, outer = 0.06 * r0, 0.16 * r0, 1.75 * r0
+        else:
+            # hold elements per wavelength fixed under wavenumber sweeps
+            h_int = h_far = 2 * np.pi / self.wavenumbers()[0] / 12
+            outer = self.R
         sig = {
             "problem": self.problem,
             "d": self.d,
             "p": self.p,
             "c": self.c,
-            "r0": self.nominal_radius(),
-            "r_inner": inner,
-            "r_outer": outer,
+            "r0": r0,
+            "r_inner": r0 / 4 if self.r_inner is None else float(self.r_inner),
+            "r_outer": outer if self.r_outer is None else float(self.r_outer),
             "alpha_i": self.alpha_i,
             "n_points": self.n_points,
-            "point_radius": radius,
-            "h_interface": h_int,
-            "h_far": h_far,
+            "point_radius": r0 if self.point_radius is None else self.point_radius,
+            "h_interface": float(h_int if self.h_interface is None else self.h_interface),
+            "h_far": float(h_far if self.h_far is None else self.h_far),
         }
-        if self.problem == "elliptic":
+        if elliptic:
             sig["cg_tol"] = self.cg_tol
         else:
             ko, ki = self.wavenumbers()
@@ -320,16 +274,42 @@ def mesh_checksum(mesh):
     return h.hexdigest()
 
 
+def _interface_model(sig):
+    return InterfaceModel(sig["r0"], sig["d"], sig["p"], sig["c"])
+
+
+def _nominal_mesh(sig):
+    """The nominal mesh of a data signature."""
+    # the builders are looked up here, at call time, where tracing patches them
+    if sig["problem"] == "elliptic":
+        return build_square_mesh(sig["r0"], sig["r_inner"], sig["r_outer"],
+                                 sig["h_interface"], sig["h_far"])
+    return build_disk_mesh(sig["r0"], sig["r_inner"], sig["R"],
+                           sig["pml_thickness"], sig["h_interface"], sig["h_far"])
+
+
 class Workspace:
-    """Per-process solver state reused across samples of one config."""
+    """Per-process solver state reused across samples of one config.
+
+    Everything here is built from config.data_signature(): the domain map,
+    the nominal mesh, the problem, the evaluation points and the QoI kind.
+    """
 
     def __init__(self, config):
         self.config = config
-        self.dm = config.domain_map()
-        self.mesh = config.build_mesh()
-        self.problem = config.make_problem(self.mesh, self.dm)
-        self.points = config.eval_points()
-        self.kind = config.qoi_kind()
+        sig = config.data_signature()
+        self.dm = DomainMap(_interface_model(sig), sig["r_inner"], sig["r_outer"])
+        self.mesh = _nominal_mesh(sig)
+        if sig["problem"] == "elliptic":
+            self.problem = EllipticProblem(self.mesh, self.dm, sig["alpha_i"],
+                                           cg_tol=sig["cg_tol"])
+            self.kind = "value"
+        else:
+            self.problem = HelmholtzProblem(
+                self.mesh, self.dm, sig["alpha_i"], sig["kappa_i"], sig["kappa_o"],
+                direction=sig["direction"], pml_damping=sig["pml_damping"])
+            self.kind = "amplitude"
+        self.points = circle_points(sig["point_radius"], sig["n_points"])
 
     def solve(self, y):
         field = self.problem.solve(y)
@@ -402,7 +382,7 @@ def gen_data(config, n=None, seed=None, workers=1):
         for i in range(n):
             samples[i], qoi[i] = _solve_sample(ws, seed, i)
     else:
-        mesh = config.build_mesh()
+        mesh = _nominal_mesh(config.data_signature())
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(config,)) as pool:
             chunk = max(1, n // (4 * workers))
@@ -538,31 +518,57 @@ def train_on_datasets(config, train_ds, test_ds, out_dir=None, tag=None):
     return net, record
 
 
-def run_experiment(config, out_dir=None, workers=1, reuse=True, tag=None):
+def run_experiment(config, out_dir=None, workers=1, reuse=True):
     """Generate or load datasets for config, train, persist, return record.
 
-    Files are named after tag, config.tag() by default.
+    Files are named after config.tag().
     """
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tag = tag or config.tag()
-    train_ds = _ensure_dataset(config, "train", out, workers, reuse, tag)
-    test_ds = _ensure_dataset(config, "test", out, workers, reuse, tag)
-    _, record = train_on_datasets(config, train_ds, test_ds, out, tag)
-    return record
+    return _train_cell(config, "", config.n_points, {}, out, workers, reuse)
+
+
+def _train_cell(cfg, suffix, top, pairs, out, workers, reuse):
+    """Train cfg on its columns of a dataset pair and persist; returns the record.
+
+    top is the sweep's largest n_points.  The pair is generated at top
+    points when cfg.n_points divides top (the m-point evaluation circle is
+    a stride of the k*m-point circle), at cfg.n_points otherwise.  pairs
+    maps what decides dataset content (data hash, seed, sample counts) to
+    the pair, so each pair is generated or loaded once, under the stem of
+    the first cell that needs it.  The cell's checkpoint and result are
+    named cfg.tag() + suffix.
+    """
+    big = dataclasses.replace(cfg, n_points=top) if top % cfg.n_points == 0 else cfg
+    key = (big.data_hash(), big.seed, big.n_train, big.n_test)
+    if key not in pairs:
+        pairs[key] = [_ensure_dataset(big, split, out, workers, reuse,
+                                      big.tag() + suffix)
+                      for split in ("train", "test")]
+    train_ds, test_ds = (_slice_points(ds, cfg) for ds in pairs[key])
+    return train_on_datasets(cfg, train_ds, test_ds, out, cfg.tag() + suffix)[1]
 
 
 # ------------------------------------------------------------------- sweeps
 
 
-def _axis_values(axes):
-    names = list(axes)
-    valid = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for name in names:
-        if name not in valid:
-            raise PipelineError(f"unknown sweep axis {name!r}")
-    for combo in itertools.product(*(axes[n] for n in names)):
-        yield dict(zip(names, combo))
+def _check_axes(axes):
+    """axes as {name: list}; PipelineError unless there is at least one axis
+    and each is a numeric config field with a non-empty list of numbers."""
+    if not isinstance(axes, dict) or not axes:
+        raise PipelineError(f"a sweep needs at least one axis, got {axes!r}")
+    numeric = {f.name for f in dataclasses.fields(ExperimentConfig)
+               if f.type in (int, float)}
+    for name, values in axes.items():
+        if name not in numeric:
+            raise PipelineError(f"unknown sweep axis {name!r}: an axis is a "
+                                f"numeric config field")
+        if (not isinstance(values, (list, tuple)) or not values
+                or not all(isinstance(v, numbers.Real) for v in values)):
+            raise PipelineError(
+                f"sweep axis {name!r} needs a non-empty list of numbers, "
+                f"got {values!r}")
+    return {k: list(v) for k, v in axes.items()}
 
 
 def _axis_suffix(config, overrides):
@@ -575,9 +581,11 @@ def _axis_suffix(config, overrides):
 
 
 def _slice_points(ds, config):
-    """View of a max-point dataset restricted to config.n_points equispaced
-    columns."""
+    """ds restricted to config.n_points equispaced QoI columns; ds itself
+    when it has that many."""
     total = ds.qoi.shape[1]
+    if total == config.n_points:
+        return ds
     cols = np.arange(0, total, total // config.n_points)
     meta = dict(ds.meta)
     meta.update({"config": config.to_dict(), "config_hash": config.data_hash(),
@@ -589,40 +597,42 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
           name="sweep"):
     """Run one experiment per axis combination and emit table/figure files.
 
-    kind: "table" (CSV + Markdown, rows = first axis, columns = second),
-    "figure" (series CSV + fit JSON + SVG, x = last axis), or "geometry"
-    (no PDE: the cell value is the maximal shape variation in percent).
-    With an n_points axis, cells whose count divides the largest count
-    share one dataset pair generated at that count: the evaluation circle
-    at count m is a subset of the circle at count k*m, so the QoI matrix
-    is column-sliced per cell.  A cell's files are named after its tag,
-    cfg.tag() plus -<axis><value> for each swept axis that the tag leaves
-    out.  A failed cell is recorded and skipped;
-    completed cells are kept in NAME.cells.json, rewritten after each cell.
+    axes maps numeric config fields to non-empty lists of numbers; anything
+    else raises PipelineError before any cell runs.  kind: "table" (CSV +
+    Markdown, rows = first axis, columns = second), "figure" (series CSV +
+    fit JSON + SVG, x = last axis), or "geometry" (no PDE: the cell value is
+    the maximal shape variation in percent).
+
+    Cells that differ only in fields outside the data signature (training
+    fields such as lr, epochs or depth) share one dataset pair.  With an
+    n_points axis, cells whose count divides the largest count share the
+    pair generated at that count, column-sliced per cell.  Each distinct
+    pair stays in memory until the sweep returns.  A cell's files are
+    named after its tag, cfg.tag() plus -<axis><value> for each swept axis
+    that the tag leaves out; a shared pair keeps the stem of the first cell
+    that needs it.  A failed cell is recorded and skipped; completed cells
+    are kept in NAME.cells.json, rewritten after each cell.
     """
+    axes = _check_axes(axes)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    axes = {k: list(v) for k, v in axes.items()}
     if kind is None:
         kind = "figure" if len(axes) == 1 else "table"
-    top = max(axes["n_points"]) if "n_points" in axes else None
-    shared = {}
+    top = max(axes["n_points"]) if "n_points" in axes else base_config.n_points
+    pairs = {}
     cells = []
-    for overrides in _axis_values(axes):
+    for combo in itertools.product(*axes.values()):
+        overrides = dict(zip(axes, combo))
         cell = {"axes": overrides}
         try:
             cfg = dataclasses.replace(base_config, **overrides)
             suffix = _axis_suffix(cfg, overrides)
             cell["tag"] = cfg.tag() + suffix
             if kind == "geometry":
-                model = InterfaceModel(cfg.nominal_radius(), cfg.d, cfg.p, cfg.c)
+                model = _interface_model(cfg.data_signature())
                 cell["value"] = 100.0 * max_shape_variation(model)
-            elif top is not None and top % cfg.n_points == 0:
-                cell["value"] = _shared_cell(cfg, top, shared, out, workers,
-                                             reuse, suffix)["test_error"]
             else:
-                record = run_experiment(cfg, out, workers=workers, reuse=reuse,
-                                        tag=cell["tag"])
+                record = _train_cell(cfg, suffix, top, pairs, out, workers, reuse)
                 cell["value"] = record["test_error"]
         except (PipelineError, SolverError, ArithmeticError, ValueError) as exc:
             cell["error"] = str(exc)
@@ -634,23 +644,6 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
     else:
         _emit_figure(out, name, axes, cells)
     return {"axes": axes, "kind": kind, "cells": cells}
-
-
-def _shared_cell(cfg, top, shared, out, workers, reuse, suffix):
-    """Train cfg on its columns of the dataset pair generated at top points.
-
-    shared maps what decides dataset content (data hash, seed, sample
-    counts) to the pair, so each pair is generated or loaded once.  File
-    names carry the cell's axis suffix.
-    """
-    big = dataclasses.replace(cfg, n_points=top)
-    key = (big.data_hash(), big.seed, big.n_train, big.n_test)
-    if key not in shared:
-        shared[key] = [_ensure_dataset(big, split, out, workers, reuse,
-                                       big.tag() + suffix)
-                       for split in ("train", "test")]
-    train_ds, test_ds = (_slice_points(ds, cfg) for ds in shared[key])
-    return train_on_datasets(cfg, train_ds, test_ds, out, cfg.tag() + suffix)[1]
 
 
 def _cell_lookup(cells):

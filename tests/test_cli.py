@@ -182,6 +182,16 @@ def test_sweep_config_missing_axes(tmp_path, capsys):
     assert "axes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axes", [{}, {"p": 3}, {"direction": [[1, 0], [0, 1]]}])
+def test_sweep_bad_axes_exit_2(tmp_path, capsys, axes):
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"base": tiny_dict(tmp_path / "out"), "axes": axes}))
+    assert cli.main(["sweep", "--config", str(spec),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    assert "axis" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exit_2(tmp_path, capsys):
     assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()

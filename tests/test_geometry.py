@@ -428,10 +428,3 @@ def test_domain_map_validation():
     tight = InterfaceModel(0.5, 2, 1, 0.17)  # amplitude ~ 0.24
     with pytest.raises(GeometryError):
         DomainMap(tight, r_inner=0.4, r_outer=0.875)
-
-
-def test_domain_map_roundtrip_config():
-    dm = make_map(d=16, p=2)
-    dm2 = DomainMap.from_dict(dm.to_dict())
-    assert dm2.to_dict() == dm.to_dict()
-    assert np.allclose(dm2.model.b, dm.model.b)

@@ -33,26 +33,30 @@ def tiny_config(**over):
 
 def test_config_defaults_elliptic():
     cfg = pl.ExperimentConfig(problem="elliptic")
-    assert cfg.nominal_radius() == 0.5
-    assert cfg.mollifier_radii() == (0.125, 0.875)
-    assert cfg.mesh_sizes() == (0.03, 0.08)
-    np.testing.assert_allclose(cfg.eval_points(), [[0.5, 0.0]])
-    assert cfg.qoi_kind() == "value"
+    sig = cfg.data_signature()
+    assert sig["r0"] == 0.5
+    assert (sig["r_inner"], sig["r_outer"]) == (0.125, 0.875)
+    assert (sig["h_interface"], sig["h_far"]) == (0.03, 0.08)
+    ws = pl.Workspace(cfg)
+    np.testing.assert_allclose(ws.points, [[0.5, 0.0]])
+    assert ws.kind == "value"
     assert cfg.widths() == [8] + [10] * 9 + [1]
 
 
 def test_config_defaults_helmholtz():
     cfg = pl.ExperimentConfig(problem="helmholtz")
-    assert cfg.nominal_radius() == 0.01
-    assert cfg.mollifier_radii() == (0.0025, 0.055)
+    sig = cfg.data_signature()
+    assert sig["r0"] == 0.01
+    assert (sig["r_inner"], sig["r_outer"]) == (0.0025, 0.055)
     ko, ki = cfg.wavenumbers()
     assert ko == pytest.approx(pl.K0) and ki == pytest.approx(0.8 * pl.K0)
-    h_int, h_far = cfg.mesh_sizes()
+    assert (sig["kappa_o"], sig["kappa_i"]) == (ko, ki)
+    h_int = sig["h_interface"]
     assert h_int == pytest.approx(2 * np.pi / pl.K0 / 12)
-    assert cfg.qoi_kind() == "amplitude"
+    assert pl.Workspace(cfg).kind == "amplitude"
     # holding elements per wavelength fixed halves h when the wavenumber doubles
     cfg2 = dataclasses.replace(cfg, kappa_o=2 * pl.K0, kappa_i=1.6 * pl.K0)
-    assert cfg2.mesh_sizes()[0] == pytest.approx(h_int / 2)
+    assert cfg2.data_signature()["h_interface"] == pytest.approx(h_int / 2)
 
 
 def test_config_rejections():
@@ -110,6 +114,53 @@ def test_data_hash_tracks_data_fields_only():
                          ("n_points", 3), ("p", 2.0), ("d", 6)):
         other = dataclasses.replace(cfg, **{field: value})
         assert other.data_hash() != cfg.data_hash(), field
+
+
+# data_hash() and nominal-mesh checksum of every preset: stored datasets are
+# matched by these, so they must survive any rewrite of the config or meshes
+PRESET_DIGESTS = {
+    "desk-elliptic": (
+        "05d434dc420d9bbbfbf1306992ba08f67a4fff9043aed96c2ab1fdaca16f3610",
+        "2ed2a41205f45501a75f8e822dda64237712c1cf98f2c094c26a3aa325a8c1ca"),
+    "desk-helmholtz": (
+        "07a3d103d89532bc9cb0549beaad0e2ef856544cbd85cdc70074542be37732a7",
+        "c93aa4359004dc01079829208cc759c63105dd7649f1be641fdb2e2a8437adef"),
+    "table2-alpha10": (
+        "90f1683a7e5f9344b5f9dc5f1231cef2c07404abc3da185a8785a7336403ac42",
+        "e405878ea77a9945b8f38da06066a340edd90a962a50700bd29c43ab239ada8c"),
+    "table2-alpha100": (
+        "981b5540a551e1f8b5b3eba24da32af44eee66279ddc63381540a048a2b1bb6a",
+        "e405878ea77a9945b8f38da06066a340edd90a962a50700bd29c43ab239ada8c"),
+    "table2-alpha1000": (
+        "8dc5dc8990c080edcf5c151feded506a723f3d28319c17ce32dfe80e708a5b12",
+        "e405878ea77a9945b8f38da06066a340edd90a962a50700bd29c43ab239ada8c"),
+    "table3-alpha100": (
+        "6fb4990ed239bea85b600ba90e321dce352e1eb75fa57ba1c0a79247157f829a",
+        "e405878ea77a9945b8f38da06066a340edd90a962a50700bd29c43ab239ada8c"),
+    "table5-alpha10": (
+        "07a3d103d89532bc9cb0549beaad0e2ef856544cbd85cdc70074542be37732a7",
+        "c93aa4359004dc01079829208cc759c63105dd7649f1be641fdb2e2a8437adef"),
+    "table5-alpha100": (
+        "176f1cac12e45e88ae7f42e3969eff14911e5a702537b55a11e170b62eccd629",
+        "c93aa4359004dc01079829208cc759c63105dd7649f1be641fdb2e2a8437adef"),
+    "table5-alpha1000": (
+        "e380b3322c127a15d1ec34c5b821f66dc8a5f05430228f866871f739833a385c",
+        "c93aa4359004dc01079829208cc759c63105dd7649f1be641fdb2e2a8437adef"),
+    "table7-c1": (
+        "77d868394e7c2ab6adf7d200b4feb96d26fbbd073394f78ec44606a12d81d7c0",
+        "c93aa4359004dc01079829208cc759c63105dd7649f1be641fdb2e2a8437adef"),
+    "table8-2k0": (
+        "52d847a639ad18401d9d3da854030a55b7bf86983678bcfb6af263f6eb4134cf",
+        "883d099e22e73cb011b410b31afcac644a1e46fec7a7ca03a7f2ec3cfbc6b909"),
+}
+
+
+def test_preset_digests_pinned():
+    assert sorted(PRESET_DIGESTS) == sorted(pl.PRESETS)
+    for name, digests in PRESET_DIGESTS.items():
+        cfg = pl.preset(name)
+        got = (cfg.data_hash(), pl.mesh_checksum(pl.Workspace(cfg).mesh))
+        assert got == digests, name
 
 
 def test_config_dict_roundtrip():
@@ -213,7 +264,7 @@ def test_identity_sample_matches_plain_solve():
     cfg = tiny_config(alpha_i=1.0)
     ws = pl.Workspace(cfg)
     q = ws.solve(np.zeros(cfg.d))
-    ref = plain_reference_qoi(ws.mesh, ws.problem.source, cfg.eval_points())
+    ref = plain_reference_qoi(ws.mesh, ws.problem.source, ws.points)
     np.testing.assert_allclose(q, ref, rtol=1e-9)
 
 
@@ -494,6 +545,47 @@ def test_sweep_over_untagged_axis_writes_files_per_cell(tmp_path):
     a, b = (np.loadtxt(tmp_path / f"{c['tag']}-train.qoi.csv", delimiter=",")
             for c in summary["cells"])
     assert not np.array_equal(a, b)
+
+
+def test_sweep_over_training_field_shares_one_dataset_pair(tmp_path, monkeypatch):
+    calls = []
+    real = pl.gen_data
+
+    def counting(config, n=None, seed=None, workers=1):
+        calls.append((config.lr, seed))
+        return real(config, n, seed, workers)
+
+    monkeypatch.setattr(pl, "gen_data", counting)
+    lrs = [1e-3, 2e-3, 4e-3]
+    out = tmp_path / "sweep"
+    summary = pl.sweep(tiny_config(), {"lr": lrs}, out, kind="figure", name="lr")
+    # lr is outside the data signature: one train and one test generation
+    assert calls == [(1e-3, 9), (1e-3, 9 + pl.TEST_STREAM)]
+    monkeypatch.undo()
+    # the pair keeps the stem of the first cell that needs it
+    assert [f.name for f in out.glob("*-train.samples.csv")] == [
+        "elliptic-d4-p3-a10-np2-lr0.001-train.samples.csv"]
+    for cell, lr in zip(summary["cells"], lrs):
+        assert cell["tag"] == f"elliptic-d4-p3-a10-np2-lr{lr:g}"
+        for suffix in (".mlpc", ".result.json"):
+            assert (out / (cell["tag"] + suffix)).exists()
+        own = pl.run_experiment(tiny_config(lr=lr), out_dir=tmp_path / f"own{lr:g}")
+        assert cell["value"] == own["test_error"]
+
+
+@pytest.mark.parametrize("axes, named", [
+    ({}, "at least one axis"), ([1.0, 2.0], "at least one axis"),
+    ({"p": 3}, "'p'"), ({"p": []}, "'p'"),
+    ({"direction": [[1, 0], [0, 1]]}, "'direction'"),
+    ({"direction": [1.0]}, "'direction'"), ({"colour": [1]}, "'colour'")])
+def test_sweep_rejects_bad_axes_before_any_cell(tmp_path, monkeypatch, axes, named):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no cell may run")
+
+    monkeypatch.setattr(pl, "gen_data", refuse)
+    with pytest.raises(pl.PipelineError, match=named):
+        pl.sweep(tiny_config(), axes, tmp_path / "out", name="bad")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("emit,interrupted", [
