@@ -89,16 +89,6 @@ def max_shape_variation(model):
     return model.amplitude() / model.r0
 
 
-def as_sample(model, y):
-    """Validate a parameter vector: shape (d,), entries in [-1, 1]."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.d,):
-        raise GeometryError(f"sample shape {y.shape} does not match d={model.d}")
-    if np.any(np.abs(y) > 1.0 + 1e-12):
-        raise GeometryError("sample entries must lie in [-1, 1]")
-    return y
-
-
 def _series(model, y, z):
     """r - r0 and dr/dphi at unit complex numbers z = exp(i phi), any shape.
 
@@ -106,7 +96,11 @@ def _series(model, y, z):
     derivative Re sum_k i k w_k z^k; the powers z^k come from complex
     products by doubling, so no sine or cosine is evaluated.
     """
-    y = as_sample(model, y)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (model.d,):
+        raise GeometryError(f"sample shape {y.shape} does not match d={model.d}")
+    if np.any(np.abs(y) > 1.0 + 1e-12):
+        raise GeometryError("sample entries must lie in [-1, 1]")
     z = np.asarray(z, dtype=complex)
     m = model.d // 2
     k = np.arange(1, m + 1, dtype=float)

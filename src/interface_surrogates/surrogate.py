@@ -3,6 +3,9 @@
 Everything is plain float64 numpy: the networks are small enough that a
 hand-written reverse pass is both faster to verify and bit-reproducible.
 Training runs full batch with multi-restart selection by test error.
+The parameters are one flat vector, so one Adam update and one write
+cover them.  Activations are feature-major, (width, n) for a batch of n;
+forward takes and returns row-major batches.
 
 An epoch is one forward and one reverse pass, both in buffers allocated
 once per train call; backward returns the loss of its own forward pass.
@@ -25,7 +28,9 @@ _CKPT_VERSION = 1
 
 class Mlp:
     """Weights of a beta-leaky-ReLU network: L affine layers, the last
-    one linear.  widths = [N_0, ..., N_L]."""
+    one linear.  widths = [N_0, ..., N_L].  ``params`` holds A_1, b_1,
+    A_2, ... (each A row-major) in one float64 vector that the given
+    weights are copied into; ``weights`` are (A, b) views of it."""
 
     def __init__(self, widths, beta, weights):
         widths = [int(w) for w in widths]
@@ -40,11 +45,25 @@ class Mlp:
                 raise ValueError(f"layer {ell + 1} shape mismatch")
         self.widths = widths
         self.beta = float(beta)
-        self.weights = weights
+        self.params = np.concatenate([np.append(A, b) for A, b in weights], dtype=float)
+        self.weights = self.split(self.params)
 
     @property
     def n_layers(self):
         return len(self.weights)
+
+    def split(self, vec):
+        """(A, b) views of each layer in a vector laid out like params."""
+        return _split(self.widths, vec)
+
+
+def _split(widths, vec):
+    views, k = [], 0
+    for n_in, n_out in zip(widths, widths[1:]):
+        views.append((vec[k:k + n_out * n_in].reshape(n_out, n_in),
+                      vec[k + n_out * n_in:k + n_out * (n_in + 1)]))
+        k += n_out * (n_in + 1)
+    return views
 
 
 def default_widths(d, n_points, depth=10, hidden=10):
@@ -69,44 +88,46 @@ def init(widths, beta=0.2, seed=0):
 class _Work:
     """Buffers for training on one batch, allocated once per train call.
 
-    Each hidden layer keeps its activation and its pre > 0 mask for the
-    reverse pass.  ``ping`` and ``pong`` hold the gradient in turn and
-    ``scratch`` takes the hidden pre-activations and the activation
-    slopes; all three are flat, sized for the widest layer.  ``norms``
-    are the squared target norms, checked once.
+    Each hidden layer keeps its (width, n) activation and pre > 0 mask
+    for the reverse pass.  ``ping`` and ``pong`` hold the gradient in
+    turn and ``scratch`` the hidden pre-activations and the activation
+    slopes; all three are flat, sized for the widest layer, and viewed
+    (width, n).  ``targets`` is Q feature-major and ``norms`` its squared
+    norms per sample, checked once.
     """
 
     def __init__(self, widths, Q):
         self.n = n = Q.shape[0]
         self.norms = _target_norms(Q)
-        self.scale = n * self.norms[:, None]
-        self.acts = [np.empty((n, w)) for w in widths[1:-1]]
-        self.masks = [np.empty((n, w), dtype=bool) for w in widths[1:-1]]
+        self.scale = n * self.norms
+        self.targets = np.ascontiguousarray(Q.T)
+        self.acts = [np.empty((w, n)) for w in widths[1:-1]]
+        self.masks = [np.empty((w, n), dtype=bool) for w in widths[1:-1]]
         self.ping, self.pong, self.scratch = (np.empty(n * max(widths[1:]))
                                               for _ in range(3))
 
     def view(self, flat, width):
-        """The leading (n, width) block of a flat buffer, C-contiguous."""
-        return flat[: self.n * width].reshape(self.n, width)
+        """The leading (width, n) block of a flat buffer, C-contiguous."""
+        return flat[: width * self.n].reshape(width, self.n)
 
 
-def _forward(net, Y, work=None):
-    """Output of the network for the batch Y.  With work, each hidden
-    activation and its mask stay in work for backward and the output is
-    written to work.ping; without, every array is fresh.
+def _forward(net, z, work=None):
+    """Output of the network for the feature-major batch z, (N_0, n), as
+    an (N_L, n) array.  With work, each hidden activation and its mask
+    stay in work for backward and the output is written to work.ping;
+    without, every array is fresh.
 
     The activation is maximum(pre, beta * pre), which for 0 <= beta <= 1
     is pre where pre > 0 and beta * pre elsewhere, except that beta = 0
     maps pre = +inf to NaN.
     """
-    z = Y
     for ell, (A, b) in enumerate(net.weights):
         hidden = ell < net.n_layers - 1
         into = None
         if work is not None:
             into = work.view(work.scratch if hidden else work.ping, A.shape[0])
-        pre = np.matmul(z, A.T, out=into)
-        pre += b
+        pre = np.matmul(A, z, out=into)
+        pre += b[:, None]
         if not hidden:
             return pre
         if work is None:
@@ -118,11 +139,11 @@ def _forward(net, Y, work=None):
 
 
 def forward(net, y):
-    """Realization of the network; accepts a single input or a batch."""
+    """Realization of the network for one input or a batch, one per row."""
     y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    out = _forward(net, np.atleast_2d(y))
-    return out[0] if single else out
+    if y.ndim == 1:
+        return _forward(net, y[:, None])[:, 0]
+    return _forward(net, y.T).T
 
 
 def _target_norms(Q):
@@ -133,29 +154,32 @@ def _target_norms(Q):
 
 
 def _relative_loss(residual, norms):
-    return float(np.mean(np.sum(residual * residual, axis=1) / norms))
+    """The loss for a feature-major residual, (N_L, n)."""
+    return float(np.mean(np.sum(residual * residual, axis=0) / norms))
 
 
 def loss(net, Y, Q):
     """Mean relative squared Euclidean error over the batch."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     norms = _target_norms(Q)
-    return _relative_loss(forward(net, np.atleast_2d(Y)) - Q, norms)
+    return _relative_loss(_forward(net, Y.T) - Q.T, norms)
 
 
 def backward(net, Y, Q, work=None):
-    """loss() and its gradient for every (A, b) from one forward pass.
+    """loss() and its gradient from one forward pass.
 
-    Returns (value, grads): value equals loss(net, Y, Q) bit for bit, and
-    grads are fresh arrays.  The slope at the kink is taken as beta.
-    ``work`` is the _Work that train builds once for this batch.
+    Returns (value, grad): value equals loss(net, Y, Q) bit for bit, and
+    grad is a fresh vector laid out like net.params.  The slope at the
+    kink is taken as beta.  ``work`` is the _Work that train builds once
+    for this batch.
     """
     if work is None:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         work = _Work(net.widths, Q)
-    G = _forward(net, Y, work)
-    G -= Q
+    G = _forward(net, Y.T, work)
+    G -= work.targets
     value = _relative_loss(G, work.norms)
     G *= 2.0
     G /= work.scale
@@ -163,27 +187,29 @@ def backward(net, Y, Q, work=None):
     # slope entry is exactly 1.0 or beta
     rest = 1.0 - net.beta
     ping, pong = work.ping, work.pong
-    grads = [None] * net.n_layers
+    grad = np.empty_like(net.params)
+    layers = list(zip(net.weights, net.split(grad)))
     for ell in range(net.n_layers - 1, -1, -1):
-        A, _ = net.weights[ell]
-        z = work.acts[ell - 1] if ell > 0 else Y
-        grads[ell] = (G.T @ z, G.sum(axis=0))
+        (A, _), (gA, gb) = layers[ell]
+        z = work.acts[ell - 1] if ell > 0 else Y.T
+        np.matmul(G, z.T, out=gA)
+        np.sum(G, axis=1, out=gb)
         if ell > 0:
-            G = np.matmul(G, A, out=work.view(pong, A.shape[1]))
+            G = np.matmul(A.T, G, out=work.view(pong, A.shape[1]))
             ping, pong = pong, ping
             slope = np.multiply(work.masks[ell - 1], rest,
                                 out=work.view(work.scratch, A.shape[1]))
             slope += net.beta
             G *= slope
-    return value, grads
+    return value, grad
 
 
 class AdamState:
-    """First/second moment accumulators mirroring the weight shapes."""
+    """First/second moment accumulators, laid out like the parameters."""
 
     def __init__(self, net, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.m = [(np.zeros_like(A), np.zeros_like(b)) for A, b in net.weights]
-        self.v = [(np.zeros_like(A), np.zeros_like(b)) for A, b in net.weights]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
         self.step = 0
         self.lr = lr
         self.beta1 = beta1
@@ -191,23 +217,17 @@ class AdamState:
         self.eps = eps
 
 
-def adam_step(net, grads, state):
-    """Standard bias-corrected Adam update, in place."""
+def adam_step(net, grad, state):
+    """Standard bias-corrected Adam update of net.params, in place."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for ell in range(net.n_layers):
-        for slot in (0, 1):
-            g = grads[ell][slot]
-            m = state.m[ell][slot]
-            v = state.v[ell][slot]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            w = net.weights[ell][slot]
-            w -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    state.m *= b1
+    state.m += (1 - b1) * grad
+    state.v *= b2
+    state.v += (1 - b2) * grad * grad
+    net.params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
     return net, state
 
 
@@ -289,7 +309,7 @@ def train(train_set, test_set, widths, epochs, restarts=1, base_seed=0,
         # the previous step; one loss() after the loop gives the last one
         for epoch in range(epochs + 1):
             if epoch < epochs:
-                value, grads = backward(net, Y_tr, Q_tr, work)
+                value, grad = backward(net, Y_tr, Q_tr, work)
             else:
                 value = loss(net, Y_tr, Q_tr)
             if epoch > 0:
@@ -299,7 +319,7 @@ def train(train_set, test_set, widths, epochs, restarts=1, base_seed=0,
                 if callback is not None:
                     callback(r, epoch - 1, value)
             if epoch < epochs:
-                adam_step(net, grads, state)
+                adam_step(net, grad, state)
         wall = time.perf_counter() - t0
         diverged = bool(history) and not np.isfinite(history[-1])
         if diverged:
@@ -333,15 +353,13 @@ def atomic_open(path, mode="w", newline=None):
 
 
 def save_network(net, path):
-    """Versioned binary checkpoint: widths, slope, row-major weights."""
+    """Versioned binary checkpoint: widths, slope, then net.params."""
     with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(net.widths)))
         fh.write(struct.pack(f"<{len(net.widths)}I", *net.widths))
         fh.write(struct.pack("<d", net.beta))
-        for A, b in net.weights:
-            fh.write(np.ascontiguousarray(A).tobytes())
-            fh.write(np.ascontiguousarray(b).tobytes())
+        fh.write(net.params.tobytes())
 
 
 def load_network(path):
@@ -359,13 +377,8 @@ def load_network(path):
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         widths = list(struct.unpack(f"<{n_widths}I", read(4 * n_widths)))
         (beta,) = struct.unpack("<d", read(8))
-        weights = []
-        for ell in range(n_widths - 1):
-            n_out, n_in = widths[ell + 1], widths[ell]
-            A = np.frombuffer(read(8 * n_out * n_in), dtype="<f8").reshape(n_out, n_in)
-            b = np.frombuffer(read(8 * n_out), dtype="<f8")
-            weights.append((A.copy(), b.copy()))
-        rest = fh.read(1)
-        if rest:
+        size = sum(n_out * (n_in + 1) for n_in, n_out in zip(widths, widths[1:]))
+        params = np.frombuffer(read(8 * size), dtype="<f8")
+        if fh.read(1):
             raise ValueError(f"{path}: trailing bytes in checkpoint")
-    return Mlp(widths, beta, weights)
+    return Mlp(widths, beta, _split(widths, params))

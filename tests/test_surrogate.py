@@ -1,5 +1,5 @@
+import hashlib
 import json
-import types
 
 import numpy as np
 import pytest
@@ -82,6 +82,17 @@ def test_forward_affine_when_slope_one():
     np.testing.assert_allclose(forward(net, Y), Y @ M.T + c, rtol=1e-12, atol=1e-12)
 
 
+def test_forward_single_input_is_row_of_batch():
+    net = init([5, 10, 10, 3], seed=6)
+    Y = np.random.default_rng(7).uniform(-1, 1, (9, 5))
+    out = forward(net, Y)
+    assert out.shape == (9, 3)
+    # not bit for bit: one input runs a matrix-vector product, the batch a
+    # matrix-matrix product, and their sums round differently
+    for y, row in zip(Y, out):
+        np.testing.assert_allclose(forward(net, y), row, rtol=1e-12, atol=1e-15)
+
+
 def test_forward_piecewise_linear_in_input():
     net = init([5, 10, 10, 3], seed=11)
     rng = np.random.default_rng(4)
@@ -139,17 +150,26 @@ def test_loss_rejects_zero_norm_target():
 # ------------------------------------------------------------------ backward
 
 
-def flatten_params(net):
-    return np.concatenate([np.concatenate([A.ravel(), b]) for A, b in net.weights])
-
-
-def set_params(net, vec):
-    k = 0
+def test_params_are_one_vector_under_the_weights():
+    net = init([4, 7, 12, 5, 3], seed=3)
+    assert net.params.shape == (sum(o * (i + 1) for i, o in zip(net.widths, net.widths[1:])),)
+    start = 0
     for A, b in net.weights:
-        A.flat[:] = vec[k:k + A.size]
-        k += A.size
-        b[:] = vec[k:k + b.size]
-        k += b.size
+        for part in (A, b):
+            assert np.shares_memory(part, net.params)
+            np.testing.assert_array_equal(part.ravel(), net.params[start:start + part.size])
+            start += part.size
+    vec = np.arange(net.params.size, dtype=float)
+    for (A, b), (vA, vb) in zip(net.weights, net.split(vec)):
+        assert vA.shape == A.shape and vb.shape == b.shape
+        assert np.shares_memory(vA, vec) and np.shares_memory(vb, vec)
+    np.testing.assert_array_equal(
+        np.concatenate([np.append(vA, vb) for vA, vb in net.split(vec)]), vec)
+    # the constructor copies, so the caller's arrays stay its own
+    A = np.ones((2, 3))
+    copied = Mlp([3, 2], 0.2, [(A, np.zeros(2))])
+    copied.params[:] = 5.0
+    np.testing.assert_array_equal(A, 1.0)
 
 
 def test_backward_matches_finite_differences():
@@ -157,24 +177,48 @@ def test_backward_matches_finite_differences():
     rng = np.random.default_rng(2)
     Y = rng.uniform(-1, 1, (5, 3))
     Q = rng.uniform(0.5, 1.5, (5, 2))
-    _, grads = backward(net, Y, Q)
-    flat_grad = np.concatenate([np.concatenate([gA.ravel(), gb]) for gA, gb in grads])
+    _, grad = backward(net, Y, Q)
 
-    theta = flatten_params(net)
+    theta = net.params.copy()
     h = 1e-6
     fd = np.empty_like(theta)
     for i in range(theta.size):
-        t = theta.copy()
-        t[i] = theta[i] + h
-        set_params(net, t)
+        net.params[i] = theta[i] + h
         up = loss(net, Y, Q)
-        t[i] = theta[i] - h
-        set_params(net, t)
+        net.params[i] = theta[i] - h
         dn = loss(net, Y, Q)
+        net.params[i] = theta[i]
         fd[i] = (up - dn) / (2 * h)
-    set_params(net, theta)
     denom = np.abs(fd).max()
-    assert np.abs(flat_grad - fd).max() / denom <= 1e-5
+    assert np.abs(grad - fd).max() / denom <= 1e-5
+
+
+def row_major_backward(net, Y, Q):
+    """The gradient on (n, width) activations, one fresh array per step."""
+    zs, masks = [Y], []
+    for A, b in net.weights[:-1]:
+        pre = zs[-1] @ A.T + b
+        masks.append(pre > 0)
+        zs.append(np.maximum(pre, net.beta * pre))
+    A, b = net.weights[-1]
+    G = 2 * (zs[-1] @ A.T + b - Q) / (len(Y) * np.sum(Q * Q, axis=1)[:, None])
+    grads = []
+    for ell in range(net.n_layers - 1, -1, -1):
+        grads.append((G.T @ zs[ell], G.sum(axis=0)))
+        if ell > 0:
+            G = (G @ net.weights[ell][0]) * np.where(masks[ell - 1], 1.0, net.beta)
+    return grads[::-1]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.2, 1.0])
+def test_backward_matches_row_major_reference(beta):
+    (Y, Q), _ = affine_dataset(n_train=96, n_test=8)
+    net = init([4, 7, 12, 5, 3], beta=beta, seed=4)
+    value, grad = backward(net, Y, Q)
+    assert value == loss(net, Y, Q)
+    for (gA, gb), (rA, rb) in zip(net.split(grad), row_major_backward(net, Y, Q)):
+        np.testing.assert_allclose(gA, rA, rtol=1e-12)
+        np.testing.assert_allclose(gb, rb, rtol=1e-12)
 
 
 def test_backward_affine_closed_form():
@@ -188,16 +232,15 @@ def test_backward_affine_closed_form():
     out = Y @ A.T + b
     norms = np.sum(Q * Q, axis=1)
     R = 2 * (out - Q) / (len(Y) * norms[:, None])
-    gA, gb = backward(net, Y, Q)[1][0]
+    gA, gb = net.split(backward(net, Y, Q)[1])[0]
     np.testing.assert_allclose(gA, R.T @ Y, rtol=1e-12)
     np.testing.assert_allclose(gb, R.sum(axis=0), rtol=1e-12)
 
 
 def test_backward_finite_on_zero_network():
     net = zero_net(3, 2)
-    _, grads = backward(net, np.zeros((4, 3)), np.ones((4, 2)))
-    for gA, gb in grads:
-        assert np.all(np.isfinite(gA)) and np.all(np.isfinite(gb))
+    _, grad = backward(net, np.zeros((4, 3)), np.ones((4, 2)))
+    assert grad.shape == net.params.shape and np.all(np.isfinite(grad))
 
 
 # ---------------------------------------------------------------------- adam
@@ -205,17 +248,19 @@ def test_backward_finite_on_zero_network():
 
 def test_adam_zero_gradient_no_update():
     net = init([3, 4, 2], seed=1)
-    before = flatten_params(net)
+    before = net.params.copy()
     state = AdamState(net)
-    zero = [(np.zeros_like(A), np.zeros_like(b)) for A, b in net.weights]
-    adam_step(net, zero, state)
-    np.testing.assert_array_equal(flatten_params(net), before)
+    adam_step(net, np.zeros_like(net.params), state)
+    np.testing.assert_array_equal(net.params, before)
 
 
 def test_adam_first_step_is_lr_sized():
     net = zero_net(2, 2)
     state = AdamState(net, lr=1e-3)
-    g = [(np.full((2, 2), 7.0), np.full(2, -3.0))]
+    g = np.empty_like(net.params)
+    gA, gb = net.split(g)[0]
+    gA[:] = 7.0
+    gb[:] = -3.0
     adam_step(net, g, state)
     A, b = net.weights[0]
     np.testing.assert_allclose(A, -1e-3, rtol=1e-6)
@@ -227,9 +272,39 @@ def test_adam_minimizes_scalar_quadratic():
     state = AdamState(net, lr=1e-2)
     for _ in range(10_000):
         w = net.weights[0][0][0, 0]
-        g = [(np.array([[2 * (w - 5.0)]]), np.zeros(1))]
-        adam_step(net, g, state)
+        adam_step(net, np.array([2 * (w - 5.0), 0.0]), state)
     assert abs(net.weights[0][0][0, 0] - 5.0) <= 1e-3
+
+
+def per_array_adam(weights, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """adam_step written over each (A, b) array in turn, in place."""
+    c1 = 1.0 - b1**step
+    c2 = 1.0 - b2**step
+    for layer in zip(weights, grads, m, v):
+        for w, g, mm, vv in zip(*layer):
+            mm *= b1
+            mm += (1 - b1) * g
+            vv *= b2
+            vv += (1 - b2) * g * g
+            w -= lr * (mm / c1) / (np.sqrt(vv / c2) + eps)
+
+
+def test_adam_flat_equals_per_array_loop():
+    (Y, Q), _ = affine_dataset(n_train=64, n_test=8)
+    net = init([4, 7, 12, 5, 3], seed=3)
+    state = AdamState(net, lr=1e-2)
+    ref = [(A.copy(), b.copy()) for A, b in net.weights]
+    m = [(np.zeros_like(A), np.zeros_like(b)) for A, b in ref]
+    v = [(np.zeros_like(A), np.zeros_like(b)) for A, b in ref]
+    for step in range(1, 6):
+        _, grad = backward(net, Y, Q)
+        adam_step(net, grad, state)
+        per_array_adam(ref, net.split(grad), m, v, step, lr=1e-2)
+        for (A, b), (A_ref, b_ref) in zip(net.weights, ref):
+            np.testing.assert_array_equal(A, A_ref)
+            np.testing.assert_array_equal(b, b_ref)
+    for flat, layers in ((state.m, m), (state.v, v)):
+        np.testing.assert_array_equal(flat, np.concatenate([np.append(*p) for p in layers]))
 
 
 # --------------------------------------------------------------------- train
@@ -332,13 +407,12 @@ def test_backward_grads_do_not_alias_work():
     (Y, Q), _ = affine_dataset(n_train=64, n_test=8)
     net = init([4, 10, 10, 3], seed=2)
     work = surrogate._Work(net.widths, Q)
-    _, grads = backward(net, Y, Q, work)
-    kept = [(gA.copy(), gb.copy()) for gA, gb in grads]
-    adam_step(net, grads, AdamState(net, lr=1e-2))
+    _, grad = backward(net, Y, Q, work)
+    kept = grad.copy()
+    adam_step(net, grad, AdamState(net, lr=1e-2))
     _, again = backward(net, Y, Q, work)
-    for (gA, gb), (kA, kb), (aA, ab) in zip(grads, kept, again):
-        np.testing.assert_array_equal(gA, kA)
-        np.testing.assert_array_equal(gb, kb)
+    np.testing.assert_array_equal(grad, kept)
+    for (aA, _), (kA, _) in zip(net.split(again), net.split(kept)):
         assert not np.array_equal(aA, kA)
 
 
@@ -425,19 +499,36 @@ def test_report_json():
                                         / report.test_error)
 
 
-def test_checkpoint_survives_interrupted_write(tmp_path):
+def test_checkpoint_bytes_pinned(tmp_path):
+    # digest recorded from the per-layer writer that defined this format;
+    # the same bytes mean checkpoints written by it still load
+    path = tmp_path / "net.mlpc"
+    save_network(init([3, 4, 2], seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "ed139f2ea1d71b0dde579664dd70ebf8dc9ba81c722ac5460a79e9f2c241acc9")
+
+
+def test_checkpoint_survives_interrupted_write(tmp_path, monkeypatch):
     path = tmp_path / "net.mlpc"
     save_network(init([3, 4, 2], seed=0), path)
     before = path.read_bytes()
     net = init([3, 4, 2], seed=1)
 
-    def layers_then_fail():
-        yield net.weights[0]
-        raise KeyboardInterrupt
+    def torn_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
 
-    half = types.SimpleNamespace(widths=net.widths, beta=net.beta,
-                                 weights=layers_then_fail())
+        def write_half_of_params(data):
+            if len(data) != net.params.nbytes:
+                return write(data)
+            write(data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+        fh.write = write_half_of_params
+        return fh
+
+    monkeypatch.setattr(surrogate, "open", torn_open, raising=False)
     with pytest.raises(KeyboardInterrupt):
-        save_network(half, path)
+        save_network(net, path)
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["net.mlpc"]
