@@ -21,6 +21,9 @@ The series is evaluated without sines or cosines: at z = exp(i phi) it is
 Re sum_k w_k z^k with w_k linear in y, and the powers z^k follow from
 complex products.  The map functions take z = (x1 + i x2)/|x| from the
 points themselves, so a sample costs no angle and no transcendental call.
+map_jacobian(..., image=True) also returns Phi at its points from the same
+series evaluation, so an assembly that needs both DPhi and Phi at its
+quadrature points sums the series once.
 """
 
 import numpy as np
@@ -223,7 +226,8 @@ def map_forward(dm, y, points):
 
 
 def _band_jacobian(dm, y, points, rho, band):
-    """map_jacobian at points (n, 2) that all lie in a chi band."""
+    """map_jacobian at points (n, 2) that all lie in a chi band, and Phi
+    there: points scaled by the Jacobian's e_phi e_phi entry m11."""
     if np.any(rho <= 0):
         raise GeometryError("Jacobian undefined at the origin")
     cs, sn = points[:, 0] / rho, points[:, 1] / rho
@@ -237,10 +241,10 @@ def _band_jacobian(dm, y, points, rho, band):
     skew = (g_rho - m11) * csn
     jac = np.stack([g_rho * cc - m01 * csn + m11 * ss, skew + m01 * cc,
                     skew - m01 * ss, g_rho * ss + m01 * csn + m11 * cc], axis=-1)
-    return jac.reshape(-1, 2, 2)
+    return jac.reshape(-1, 2, 2), points * m11[:, None]
 
 
-def map_jacobian(dm, y, points, band=None):
+def map_jacobian(dm, y, points, band=None, *, image=False):
     """Jacobian DPhi(y; .) at points of shape (n, 2), returned as (n, 2, 2).
 
     In the frame (e_rho, e_phi) the Jacobian is upper triangular with
@@ -249,6 +253,11 @@ def map_jacobian(dm, y, points, band=None):
     chi' branch at a breakpoint circle is ambiguous; the band argument
     selects it (mesh region tags provide it), otherwise it is inferred and
     points sitting on a breakpoint are rejected.
+
+    With image=True the result is (DPhi, Phi) at the points.  Phi is the
+    points times g(rho)/rho, read off the same series evaluation, so it
+    agrees with map_forward to rounding (the angle factor z is formed in
+    another order) and costs no second pass over the series.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rho = np.hypot(points[:, 0], points[:, 1])
@@ -258,12 +267,15 @@ def map_jacobian(dm, y, points, band=None):
         band = np.broadcast_to(np.asarray(band), rho.shape)
     active = (band == BAND_INNER) | (band == BAND_OUTER)
     if active.all():
-        return _band_jacobian(dm, y, points, rho, band)
-    jac = np.zeros((rho.size, 2, 2))
-    jac[:, 0, 0] = jac[:, 1, 1] = 1.0
-    if active.any():
-        jac[active] = _band_jacobian(dm, y, points[active], rho[active], band[active])
-    return jac
+        jac, mapped = _band_jacobian(dm, y, points, rho, band)
+    else:
+        jac = np.zeros((rho.size, 2, 2))
+        jac[:, 0, 0] = jac[:, 1, 1] = 1.0
+        mapped = points.copy()
+        if active.any():
+            jac[active], mapped[active] = _band_jacobian(
+                dm, y, points[active], rho[active], band[active])
+    return (jac, mapped) if image else jac
 
 
 def map_inverse(dm, y, points):

@@ -26,6 +26,14 @@ _REGION_OF_BAND = np.array([REGION_INNER, REGION_INNER, REGION_OUTER,
 # distance; 0.3 keeps the ratio of neighbouring ring gaps near 1.3
 _GRADE = 0.3
 
+# locate-grid cell widths to try, as quantiles of the triangle extents, and
+# the bucket entries per triangle the chosen width may make at most
+_GRID_QUANTILES = (0.5, 0.75, 0.9, 1.0)
+_GRID_ENTRIES = 4
+# widening of each triangle's box, relative to its extent: a point within
+# snap tolerance tol of a triangle lies within 3 tol of its box
+_GRID_PAD = 1e-6
+
 
 class MeshError(ValueError):
     pass
@@ -76,29 +84,42 @@ class Mesh:
     # -- point location ---------------------------------------------------
 
     def _build_grid(self):
-        """Uniform grid of square cells as wide as the largest triangle
-        bounding box.  Each cell's triangles form a CSR bucket: the ids of
-        cell c = i * ny + j are members[offsets[c]:offsets[c + 1]], ascending."""
-        v = self.vertices[self.triangles]
-        lo = v.min(axis=1)
-        hi = v.max(axis=1)
-        cell = max((hi - lo).max(), 1e-12)
+        """Uniform grid of square cells for point location.  The cell width
+        is the smallest of a few quantiles of the triangle extents whose
+        buckets hold at most _GRID_ENTRIES entries per triangle, else the
+        largest extent, at which a triangle spans at most 2 x 2 cells.  A
+        graded mesh thus gets cells near its typical triangle size rather
+        than its largest.  Each cell's triangles form a CSR bucket: the ids
+        of cell c = i * ny + j are members[offsets[c]:offsets[c + 1]],
+        ascending."""
+        # corners first: reductions over a leading axis of 3 are fast (take
+        # gathers rows several times faster than fancy indexing)
+        v = self.vertices.take(self.triangles.T, axis=0)
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        extent = np.maximum(*(hi - lo).T)
+        # a point within the snap tolerance of a triangle lies in its padded
+        # box, so every triangle passing locate's test is among the candidates
+        lo -= _GRID_PAD * extent[:, None]
+        hi += _GRID_PAD * extent[:, None]
         box_lo = self.vertices.min(axis=0)
-        box_hi = self.vertices.max(axis=0)
-        nx = max(1, int(np.ceil((box_hi[0] - box_lo[0]) / cell)))
-        ny = max(1, int(np.ceil((box_hi[1] - box_lo[1]) / cell)))
-        il = np.clip(((lo[:, 0] - box_lo[0]) / cell).astype(int), 0, nx - 1)
-        jl = np.clip(((lo[:, 1] - box_lo[1]) / cell).astype(int), 0, ny - 1)
-        ih = np.clip(((hi[:, 0] - box_lo[0]) / cell).astype(int), 0, nx - 1)
-        jh = np.clip(((hi[:, 1] - box_lo[1]) / cell).astype(int), 0, ny - 1)
+        span = self.vertices.max(axis=0) - box_lo
+        for cell in np.quantile(extent, _GRID_QUANTILES) * (1 + 2 * _GRID_PAD):
+            cell = max(cell, 1e-12)
+            nx, ny = np.maximum(1, np.ceil(span / cell)).astype(int)
+            il, jl = np.clip(((lo - box_lo) / cell).astype(int), 0, (nx - 1, ny - 1)).T
+            ih, jh = np.clip(((hi - box_lo) / cell).astype(int), 0, (nx - 1, ny - 1)).T
+            wj = jh - jl + 1
+            count = (ih - il + 1) * wj
+            if count.sum() <= _GRID_ENTRIES * self.n_triangles:
+                break
         # one entry per (triangle, covered cell), triangles in ascending order
-        wj = jh - jl + 1
-        count = (ih - il + 1) * wj
         tri = np.repeat(np.arange(self.n_triangles), count)
         k = _ranks(count)
         cells = (il[tri] + k // wj[tri]) * ny + jl[tri] + k % wj[tri]
-        # a stable sort keeps each bucket's ids ascending
-        members = tri[np.argsort(cells, kind="stable")]
+        # a stable sort keeps each bucket's ids ascending; cell ids that fit
+        # 16 bits are radix-sorted
+        key = cells.astype(np.min_scalar_type(nx * ny))
+        members = tri[np.argsort(key, kind="stable")]
         offsets = np.zeros(nx * ny + 1, dtype=np.int64)
         np.cumsum(np.bincount(cells, minlength=nx * ny), out=offsets[1:])
         self._grid = (box_lo, cell, nx, ny, offsets, members)
@@ -121,8 +142,9 @@ class Mesh:
         # every (point, candidate triangle) pair, grouped by point in bucket order
         owner = np.repeat(np.arange(points.shape[0]), count)
         t = members[np.repeat(first, count) + _ranks(count)]
-        a, b, c = self.vertices[self.triangles[t]].transpose(1, 2, 0)
-        px, py = points[owner].T
+        corners = self.triangles.take(t, axis=0)
+        a, b, c = self.vertices.take(corners, axis=0).transpose(1, 2, 0)
+        px, py = points.take(owner, axis=0).T
         det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
         l1 = ((px - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (py - a[1])) / det
         l2 = ((b[0] - a[0]) * (py - a[1]) - (px - a[0]) * (b[1] - a[1])) / det

@@ -67,8 +67,10 @@ _Q2 = np.array([[2 / 3, 1 / 6, 1 / 6],
                 [1 / 6, 2 / 3, 1 / 6],
                 [1 / 6, 1 / 6, 2 / 3]])
 _W2 = np.full(3, 1 / 3)
-# mass weights W2[q] phi_i(q) phi_j(q) of that rule, as a (3, 9) matrix
+# mass weights W2[q] phi_i(q) phi_j(q) of that rule, as a (3, 9) matrix,
+# and load weights W2[q] phi_i(q), as a (3, 3) matrix
 _MASS = np.einsum("q,qi,qj->qij", _W2, _Q2, _Q2).reshape(3, 9)
+_LOAD = _W2[:, None] * _Q2
 
 # order-4 rule (6 points), used for error integrals only
 _Q4 = np.array([
@@ -176,21 +178,25 @@ class _FemCache:
 
     def matrix_sum(self, tris, S):
         """Element matrices S of triangles tris, summed into CSR values."""
-        return _bincount(self.slots[tris], S, self.nnz)
+        return _bincount(self.slots.take(tris, axis=0), S, self.nnz)
 
     def sums(self, tris, S, bt):
         """Element matrices S and loads bt of triangles tris, summed into CSR
         values and an interior-dof load vector."""
-        return self.matrix_sum(tris, S), _bincount(self.dof_slots[tris], bt, self.n_int)
+        return (self.matrix_sum(tris, S),
+                _bincount(self.dof_slots.take(tris, axis=0), bt, self.n_int))
 
 
 class _MappedProblem:
     """Assembly of -div(alpha grad u) - kappa2 u shared by both problems.
 
     A subclass sets mesh, dm, cache and the per-triangle _alpha and _kappa2
-    (zero for diffusion), and defines _load(tris, J, det, y).  The map
+    (zero for diffusion), and defines _load(tris, J, det, mapped), with
+    mapped the image Phi(y; .) of the triangles' quadrature points.  The map
     moves no triangle outside the two bands, so _fix sums those once, at
-    y = 0 where the map is the identity; _assemble(y) adds the rest.
+    y = 0 where the map is the identity; _assemble(y) adds the rest from one
+    map_jacobian(..., image=True) call, which gives both DPhi and Phi at the
+    band quadrature points from one series evaluation.
 
     The first _solve factors A(0); each sample then runs CG (COCG for the
     complex Helmholtz matrix) preconditioned by it.  assemble never factors.
@@ -204,7 +210,9 @@ class _MappedProblem:
         cache = self.cache
         K, det = _pullback(J)
         Kbar = np.einsum("q,tqde->tde", _W2, K)
-        area, grads = cache.area[tris], cache.grads[tris]
+        # take gathers the rows of a 2-d or 3-d array several times faster
+        # than fancy indexing
+        area, grads = cache.area[tris], cache.grads.take(tris, axis=0)
         coef = (self._alpha[tris] * area)[:, None, None] * Kbar
         mass = (self._kappa2[tris] * area)[:, None] * (det @ _MASS)
         # optimize=True contracts in two steps instead of one 3-operand loop
@@ -212,14 +220,17 @@ class _MappedProblem:
              - mass.reshape(-1, 3, 3))
         return S, det
 
-    def _sums(self, tris, J, y):
-        """Summed element matrices and loads of triangles tris."""
+    def _sums(self, tris, J, mapped):
+        """Summed element matrices and loads of triangles tris, given J and
+        the mapped quadrature points (t, 3, 2)."""
         S, det = self._element_matrices(tris, J)
-        return self.cache.sums(tris, S, self._load(tris, J, det, y))
+        return self.cache.sums(tris, S, self._load(tris, J, det, mapped))
 
     def _fix(self, J):
-        """Sum the fixed triangles once; J is I there except in a PML."""
-        self._fixed = self._sums(self.cache.fixed, J, np.zeros(self.dm.model.d))
+        """Sum the fixed triangles once; J is I there except in a PML, and
+        the map moves none of their quadrature points."""
+        fixed = self.cache.fixed
+        self._fixed = self._sums(fixed, J, self.cache.quad[fixed])
 
     def _matrix(self, band_values):
         """CSR matrix of the fixed triangles plus the band triangles' values."""
@@ -229,8 +240,10 @@ class _MappedProblem:
 
     def _assemble(self, y):
         cache = self.cache
-        J = map_jacobian(self.dm, y, cache.moving_quad, cache.moving_band)
-        values, b = self._sums(cache.moving, J.reshape(-1, 3, 2, 2), y)
+        J, mapped = map_jacobian(self.dm, y, cache.moving_quad, cache.moving_band,
+                                 image=True)
+        values, b = self._sums(cache.moving, J.reshape(-1, 3, 2, 2),
+                               mapped.reshape(-1, 3, 2))
         return self._matrix(values), self._fixed[1] + b
 
     def _nominal_factor(self):
@@ -279,11 +292,10 @@ class EllipticProblem(_MappedProblem):
         self._kappa2 = np.zeros(mesh.n_triangles)
         self._fix(np.tile(np.eye(2), (self.cache.fixed.size, 3, 1, 1)))
 
-    def _load(self, tris, J, det, y):
+    def _load(self, tris, J, det, mapped):
         # fhat = f(Phi(x)) detJ at the quadrature points
-        mapped = map_forward(self.dm, y, self.cache.quad[tris].reshape(-1, 2))
-        fval = self.source(mapped).reshape(-1, 3) * det
-        return np.einsum("tq,q,qi->ti", fval, _W2, _Q2) * self.cache.area[tris, None]
+        fval = self.source(mapped.reshape(-1, 2)).reshape(-1, 3) * det
+        return (fval @ _LOAD) * self.cache.area[tris, None]
 
     def assemble(self, y):
         """Stiffness matrix and load vector on interior dofs."""
@@ -359,14 +371,13 @@ class HelmholtzProblem(_MappedProblem):
         return (np.einsum("...,...d,...e->...de", d, e_rho, e_rho)
                 + np.einsum("...,...d,...e->...de", s, e_phi, e_phi))
 
-    def _load(self, tris, J, det, y):
+    def _load(self, tris, J, det, mapped):
         # incident-wave source, supported where coefficients deviate from
         # the background (the inner region)
         cache = self.cache
         inner = self._inner[tris]
         t, J = tris[inner], J[inner]
-        mapped = map_forward(self.dm, y, cache.quad[t])
-        uinc = np.exp(1j * self.kappa_o * (mapped @ self.direction))
+        uinc = np.exp(1j * self.kappa_o * (mapped[inner] @ self.direction))
         # the pulled-back incident wave has gradient J^T (i kappa_o dhat) uinc
         # and K J^T = adj(J), so its pulled-back flux is adj(J) (i kappa_o dhat) uinc
         d0, d1 = self.direction
@@ -374,7 +385,7 @@ class HelmholtzProblem(_MappedProblem):
                          J[..., 0, 0] * d1 - J[..., 1, 0] * d0], axis=-1) * (
             1j * self.kappa_o * uinc)[..., None]
         stiff_term = np.einsum("tqd,tid->tqi", (self.alpha_i - 1.0) * flux,
-                               cache.grads[t])
+                               cache.grads.take(t, axis=0))
         mass_term = (self.kappa_i**2 - self.kappa_o**2) * det[inner] * uinc
         integrand = -stiff_term + np.einsum("tq,qi->tqi", mass_term, _Q2)
         bt = np.zeros((tris.size, 3), dtype=complex)

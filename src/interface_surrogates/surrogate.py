@@ -25,6 +25,11 @@ import numpy as np
 _CKPT_MAGIC = b"MLPC"
 _CKPT_VERSION = 1
 
+# Adam's moment decay rates and denominator guard: AdamState runs with these
+# and train reports them, so a report always names the optimizer that ran
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 class Mlp:
     """Weights of a beta-leaky-ReLU network: L affine layers, the last
@@ -207,14 +212,13 @@ def backward(net, Y, Q, work=None):
 class AdamState:
     """First/second moment accumulators, laid out like the parameters."""
 
-    def __init__(self, net, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, net, lr=2e-4):
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
         self.step = 0
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.beta1, self.beta2 = ADAM_BETAS
+        self.eps = ADAM_EPS
 
 
 def adam_step(net, grad, state):
@@ -291,8 +295,8 @@ def train(train_set, test_set, widths, epochs, restarts=1, base_seed=0,
         "widths": list(widths),
         "beta": beta,
         "lr": lr,
-        "adam_betas": (0.9, 0.999),
-        "adam_eps": 1e-8,
+        "adam_betas": ADAM_BETAS,
+        "adam_eps": ADAM_EPS,
         "epochs": epochs,
         "restarts": restarts,
     }
@@ -364,8 +368,12 @@ def save_network(net, path):
 
 def load_network(path):
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+
+        # a length taken from the header is checked against the bytes left
+        # before reading, so a corrupt width cannot ask for a huge buffer
         def read(n):
-            data = fh.read(n)
+            data = fh.read(n) if n <= end - fh.tell() else b""
             if len(data) != n:
                 raise ValueError(f"{path}: truncated checkpoint")
             return data

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -86,6 +87,14 @@ def test_evaluate_truncated_checkpoint_exit_2(tmp_path, capsys):
     ckpt.write_bytes(ckpt.read_bytes()[:14])
     assert cli.main(["evaluate", "--network", str(ckpt), "--y", "0,0,0,0"]) == 2
     assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_evaluate_corrupt_header_exit_2(tmp_path, capsys):
+    # widths [2^32 - 1, 2^32 - 1] size a body far larger than the file
+    ckpt = tmp_path / "corrupt.mlpc"
+    ckpt.write_bytes(b"MLPC" + struct.pack("<II2Id", 1, 2, 2**32 - 1, 2**32 - 1, 0.2))
+    assert cli.main(["evaluate", "--network", str(ckpt), "--y", "0,0,0,0"]) == 2
+    assert f"{ckpt}: truncated checkpoint" in capsys.readouterr().err
 
 
 def test_gen_data_custom_name(tmp_path, capsys):

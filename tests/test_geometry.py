@@ -176,6 +176,11 @@ def test_jacobian_fast_path_matches_masked():
     masked = map_jacobian(dm, y, both)
     assert np.abs(map_jacobian(dm, y, pts) - masked[:100]).max() <= 1e-15
     assert np.all(masked[100:] == np.eye(2))
+    # the image comes with the Jacobian on both paths; unmoved points exactly
+    J, mapped = map_jacobian(dm, y, both, image=True)
+    assert np.array_equal(J, masked)
+    assert np.array_equal(mapped[100:], both[100:])
+    assert np.abs(mapped - map_forward(dm, y, both)).max() <= 1e-15
 
 
 def test_amplitude_bound_rejects():

@@ -1,15 +1,19 @@
 """Mesh construction invariants and point location."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from interface_surrogates import mesh as mesh_module
+from interface_surrogates import pipeline
 from interface_surrogates.geometry import (
     BAND_CORE,
     BAND_FAR,
     BAND_INNER,
     BAND_OUTER,
     BAND_PML,
+    map_inverse,
 )
 from interface_surrogates.mesh import (
     REGION_INNER,
@@ -169,22 +173,60 @@ def edge_midpoints(mesh):
     return mesh.vertices[edges].mean(axis=1)
 
 
-@pytest.mark.parametrize("name", ["square", "disk"])
+def elliptic_gen_points():
+    """Nominal mesh of the elliptic-gen benchmark config and its 64 QoI
+    points pulled back through the map of a few samples, as a solve
+    locates them."""
+    cfg = dataclasses.replace(pipeline.preset("desk-elliptic"), d=16, p=1.0, n_points=64)
+    ws = pipeline.Workspace(cfg)
+    pulled = [map_inverse(ws.problem.dm, pipeline.sample_parameters(7, k, cfg.d), ws.points)
+              for k in range(4)]
+    return ws.mesh, np.concatenate(pulled)
+
+
+@pytest.mark.parametrize("name", ["square", "disk", "elliptic-gen"])
 def test_locate_matches_brute_force(name, square_coarse):
-    # a unit disk with an absorbing annulus, coarse enough for the brute force
-    mesh = (square_coarse if name == "square"
-            else build_disk_mesh(0.5, 0.125, 1.0, 1.0, 0.2, 0.4))
+    extra = np.zeros((0, 2))
+    if name == "square":
+        mesh = square_coarse
+    elif name == "disk":
+        # a unit disk with an absorbing annulus, coarse enough for the brute force
+        mesh = build_disk_mesh(0.5, 0.125, 1.0, 1.0, 0.2, 0.4)
+    else:
+        mesh, extra = elliptic_gen_points()
     rng = np.random.default_rng(11)
     rnd = rng.uniform(mesh.vertices.min(axis=0), mesh.vertices.max(axis=0), (400, 2))
     if name == "disk":
         rnd = rnd[np.hypot(*rnd.T) < 0.99 * mesh.circles[-1]]
     # vertices and edge midpoints lie on several triangles: ties
-    pts = np.concatenate([rnd, mesh.vertices, edge_midpoints(mesh)])
+    pts = np.concatenate([rnd, mesh.vertices, edge_midpoints(mesh), extra])
     idx, lam = mesh.locate(pts)
     ref_idx, ref_lam = brute_locate(mesh, pts)
     assert idx.dtype == np.int64 and lam.shape == (len(pts), 3)
     np.testing.assert_array_equal(idx, ref_idx)
     np.testing.assert_array_equal(lam, ref_lam)
+
+
+@pytest.mark.parametrize("preset", ["desk-elliptic", "desk-helmholtz", "table2-alpha1000"])
+def test_locate_grid_entries_bounded(preset):
+    mesh = pipeline._nominal_mesh(pipeline.preset(preset).data_signature())
+    mesh.locate(mesh.centroids()[:1])  # builds the grid
+    box_lo, cell, nx, ny, offsets, members = mesh._grid
+    assert offsets[-1] == members.size
+    assert members.size <= mesh_module._GRID_ENTRIES * mesh.n_triangles
+    # never coarser than one cell per largest triangle extent
+    v = mesh.vertices[mesh.triangles]
+    assert cell <= (v.max(axis=1) - v.min(axis=1)).max()
+
+
+def test_locate_grid_sized_below_largest_triangle():
+    # the graded square mesh: a grid sized by its largest triangle has
+    # 10 x 10 cells of ~64 triangles each
+    mesh = pipeline._nominal_mesh(pipeline.preset("desk-elliptic").data_signature())
+    mesh.locate(mesh.centroids()[:1])
+    _, _, nx, ny, offsets, _ = mesh._grid
+    assert nx * ny > 400
+    assert np.diff(offsets).mean() < 16
 
 
 def test_locate_rejects_point_in_empty_cell(disk_coarse):

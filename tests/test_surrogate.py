@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -328,6 +329,27 @@ def test_train_affine_target():
     assert report.hyperparams["adam_betas"] == (0.9, 0.999)
 
 
+def test_reported_adam_constants_are_the_ones_run(monkeypatch):
+    ran = []
+    step = surrogate.adam_step
+
+    def recording(net, grad, state):
+        ran.append((state.beta1, state.beta2, state.eps))
+        return step(net, grad, state)
+
+    monkeypatch.setattr(surrogate, "adam_step", recording)
+    tr, te = affine_dataset(n_train=16, n_test=8)
+    for betas, eps in (((0.9, 0.999), 1e-8), ((0.8, 0.99), 1e-6)):
+        monkeypatch.setattr(surrogate, "ADAM_BETAS", betas)
+        monkeypatch.setattr(surrogate, "ADAM_EPS", eps)
+        ran.clear()
+        _, report, _ = train(tr, te, [4, 5, 3], epochs=3, restarts=2)
+        assert set(ran) == {(*report.hyperparams["adam_betas"],
+                             report.hyperparams["adam_eps"])}
+        assert report.hyperparams["adam_betas"] == betas
+        assert report.hyperparams["adam_eps"] == eps
+
+
 def test_train_single_relu_representable_target():
     rng = np.random.default_rng(13)
     Y_tr = rng.uniform(-1, 1, (512, 4))
@@ -469,6 +491,11 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(b1, b2)
 
 
+# magic, version 1, two widths of 2^32 - 1 and beta 0.2: a header whose
+# layer sizes overflow any buffer
+CORRUPT_WIDTHS = b"MLPC" + struct.pack("<II2Id", 1, 2, 2**32 - 1, 2**32 - 1, 0.2)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.mlpc"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -486,6 +513,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
         cut.write_bytes(data[:end])
         with pytest.raises(ValueError, match="cut.mlpc"):
             load_network(cut)
+    # a 28-byte header claiming widths [2^32 - 1, 2^32 - 1]: the body it
+    # sizes is checked against the file before any read
+    huge = tmp_path / "huge.mlpc"
+    huge.write_bytes(CORRUPT_WIDTHS)
+    with pytest.raises(ValueError, match="huge.mlpc: truncated checkpoint"):
+        load_network(huge)
 
 
 def test_report_json():
