@@ -21,9 +21,12 @@ The series is evaluated without sines or cosines: at z = exp(i phi) it is
 Re sum_k w_k z^k with w_k linear in y, and the powers z^k follow from
 complex products.  The map functions take z = (x1 + i x2)/|x| from the
 points themselves, so a sample costs no angle and no transcendental call.
-map_jacobian(..., image=True) also returns Phi at its points from the same
-series evaluation, so an assembly that needs both DPhi and Phi at its
-quadrature points sums the series once.
+
+In the polar frame Q = [e_rho, e_phi] the Jacobian is upper triangular,
+DPhi = Q [[g, m01], [0, m11]] Q^T, and Phi is the points times m11.
+map_jacobian(..., polar=True) returns cos phi, sin phi, g, m01 and m11
+from one series evaluation, so an assembly reads its pullback metric,
+detDPhi, adj(DPhi) and Phi off five arrays instead of a (n, 2, 2) DPhi.
 """
 
 import numpy as np
@@ -92,8 +95,9 @@ def max_shape_variation(model):
     return model.amplitude() / model.r0
 
 
-def _series(model, y, z):
-    """r - r0 and dr/dphi at unit complex numbers z = exp(i phi), any shape.
+def _series(model, y, z, derivative=True):
+    """r - r0 and dr/dphi at unit complex numbers z = exp(i phi), any shape;
+    r - r0 alone with derivative=False.
 
     With w_k = c_k - i s_k the series is Re sum_k w_k z^k and its angular
     derivative Re sum_k i k w_k z^k; the powers z^k come from complex
@@ -102,11 +106,10 @@ def _series(model, y, z):
     y = np.asarray(y, dtype=float)
     if y.shape != (model.d,):
         raise GeometryError(f"sample shape {y.shape} does not match d={model.d}")
-    if np.any(np.abs(y) > 1.0 + 1e-12):
+    if np.abs(y).max() > 1.0 + 1e-12:
         raise GeometryError("sample entries must lie in [-1, 1]")
     z = np.asarray(z, dtype=complex)
     m = model.d // 2
-    k = np.arange(1, m + 1, dtype=float)
     # c_k multiplies cos(k phi), s_k multiplies sin(k phi)
     w = model.b[1::2] * y[1::2] - 1j * (model.b[0::2] * y[0::2])
     powers = np.empty((m, z.size), dtype=complex)
@@ -116,13 +119,15 @@ def _series(model, y, z):
         step = min(done, m - done)
         powers[done:done + step] = powers[:step] * powers[done - 1]
         done += step
-    shift, dr = (np.stack([w, 1j * k * w]) @ powers).real
+    if not derivative:
+        return (w @ powers).real.reshape(z.shape)
+    shift, dr = (np.stack([w, 1j * np.arange(1, m + 1) * w]) @ powers).real
     return shift.reshape(z.shape), dr.reshape(z.shape)
 
 
 def radius(model, y, phi):
     """Perturbed interface radius r(y; phi); phi may be an array."""
-    return model.r0 + _series(model, y, np.exp(1j * np.asarray(phi, dtype=float)))[0]
+    return model.r0 + _series(model, y, np.exp(1j * np.asarray(phi, dtype=float)), False)
 
 
 class DomainMap:
@@ -168,18 +173,17 @@ def mollifier(dm, rho):
     rho = np.asarray(rho, dtype=float)
     up = (rho - dm.r_inner) / (dm.r0 - dm.r_inner)
     down = (dm.r_outer - rho) / (dm.r_outer - dm.r0)
-    chi = np.where(rho < dm.r0, up, down)
-    return np.where((rho >= dm.r_inner) & (rho < dm.r_outer), chi, 0.0)
+    # the rising branch is the smaller one below r0 and the falling one
+    # above, and outside the support the smaller one is negative
+    return np.maximum(np.minimum(up, down), 0.0)
 
 
 def mollifier_slope(dm, rho, band):
     """One-sided slope chi'(rho) on the branch selected by band."""
     rho = np.asarray(rho, dtype=float)
     band = np.asarray(band)
-    slope = np.zeros_like(rho)
-    slope[band == BAND_INNER] = 1.0 / (dm.r0 - dm.r_inner)
-    slope[band == BAND_OUTER] = -1.0 / (dm.r_outer - dm.r0)
-    return slope
+    slope = np.where(band == BAND_INNER, 1.0 / (dm.r0 - dm.r_inner), 0.0)
+    return np.where(band == BAND_OUTER, -1.0 / (dm.r_outer - dm.r0), slope)
 
 
 def band_of(dm, rho, tol=1e-12):
@@ -203,7 +207,7 @@ def band_of(dm, rho, tol=1e-12):
 
 def _radial_scale(dm, y, points, rho, chi):
     """Factor 1 + chi (r - r0) / rho by which Phi scales points off the origin."""
-    shift = _series(dm.model, y, (points[..., 0] + 1j * points[..., 1]) / rho)[0]
+    shift = _series(dm.model, y, (points[..., 0] + 1j * points[..., 1]) / rho, False)
     return 1.0 + chi * shift / rho
 
 
@@ -225,9 +229,9 @@ def map_forward(dm, y, points):
     return points * scale[..., None]
 
 
-def _band_jacobian(dm, y, points, rho, band):
-    """map_jacobian at points (n, 2) that all lie in a chi band, and Phi
-    there: points scaled by the Jacobian's e_phi e_phi entry m11."""
+def _band_factors(dm, y, points, rho, band):
+    """Polar factors (cos, sin, g, m01, m11) of DPhi at points (n, 2) that
+    all lie in a chi band."""
     if np.any(rho <= 0):
         raise GeometryError("Jacobian undefined at the origin")
     cs, sn = points[:, 0] / rho, points[:, 1] / rho
@@ -236,28 +240,34 @@ def _band_jacobian(dm, y, points, rho, band):
     g_rho = 1.0 + mollifier_slope(dm, rho, band) * shift
     m01 = chi * dr / rho
     m11 = 1.0 + chi * shift / rho
-    # Q @ [[g_rho, m01], [0, m11]] @ Q.T with Q the rotation by phi
+    return cs, sn, g_rho, m01, m11
+
+
+def polar_jacobian(cs, sn, g_rho, m01, m11):
+    """Q @ [[g_rho, m01], [0, m11]] @ Q.T, with Q the rotation by phi, as (n, 2, 2)."""
     cc, ss, csn = cs * cs, sn * sn, cs * sn
     skew = (g_rho - m11) * csn
     jac = np.stack([g_rho * cc - m01 * csn + m11 * ss, skew + m01 * cc,
                     skew - m01 * ss, g_rho * ss + m01 * csn + m11 * cc], axis=-1)
-    return jac.reshape(-1, 2, 2), points * m11[:, None]
+    return jac.reshape(-1, 2, 2)
 
 
-def map_jacobian(dm, y, points, band=None, *, image=False):
+def map_jacobian(dm, y, points, band=None, *, polar=False):
     """Jacobian DPhi(y; .) at points of shape (n, 2), returned as (n, 2, 2).
 
     In the frame (e_rho, e_phi) the Jacobian is upper triangular with
-    diagonal (1 + chi'(rho)(r - r0), g(rho)/rho) where g is the mapped
-    radius, so detDPhi > 0 exactly when both factors are positive.  The
-    chi' branch at a breakpoint circle is ambiguous; the band argument
-    selects it (mesh region tags provide it), otherwise it is inferred and
-    points sitting on a breakpoint are rejected.
+    diagonal g = 1 + chi'(rho)(r - r0) and m11 = 1 + chi(rho)(r - r0)/rho
+    (the mapped radius over rho) and off-diagonal m01 = chi(rho) r'(phi)/rho,
+    so detDPhi = g m11 > 0 exactly when both factors are positive.  The chi'
+    branch at a breakpoint circle is ambiguous; the band argument selects it
+    (mesh region tags provide it), otherwise it is inferred and points
+    sitting on a breakpoint are rejected.
 
-    With image=True the result is (DPhi, Phi) at the points.  Phi is the
-    points times g(rho)/rho, read off the same series evaluation, so it
-    agrees with map_forward to rounding (the angle factor z is formed in
-    another order) and costs no second pass over the series.
+    With polar=True the result is the tuple (cos phi, sin phi, g, m01, m11)
+    of (n,) arrays instead; polar_jacobian turns it into DPhi.  Phi is the
+    points times m11, which agrees with map_forward to rounding (the angle
+    factor z is formed in another order).  Points where the map is the
+    identity get (1, 0, 1, 0, 1).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rho = np.hypot(points[:, 0], points[:, 1])
@@ -267,15 +277,15 @@ def map_jacobian(dm, y, points, band=None, *, image=False):
         band = np.broadcast_to(np.asarray(band), rho.shape)
     active = (band == BAND_INNER) | (band == BAND_OUTER)
     if active.all():
-        jac, mapped = _band_jacobian(dm, y, points, rho, band)
+        factors = _band_factors(dm, y, points, rho, band)
     else:
-        jac = np.zeros((rho.size, 2, 2))
-        jac[:, 0, 0] = jac[:, 1, 1] = 1.0
-        mapped = points.copy()
+        factors = (np.ones_like(rho), np.zeros_like(rho), np.ones_like(rho),
+                   np.zeros_like(rho), np.ones_like(rho))
         if active.any():
-            jac[active], mapped[active] = _band_jacobian(
-                dm, y, points[active], rho[active], band[active])
-    return (jac, mapped) if image else jac
+            moved = _band_factors(dm, y, points[active], rho[active], band[active])
+            for full, part in zip(factors, moved):
+                full[active] = part
+    return factors if polar else polar_jacobian(*factors)
 
 
 def map_inverse(dm, y, points):
@@ -296,7 +306,8 @@ def map_inverse(dm, y, points):
     inside = (rho > dm.r_inner) & (rho < dm.r_outer)
     if np.any(inside):
         target = rho[inside]
-        shift = _series(dm.model, y, (pts[inside, 0] + 1j * pts[inside, 1]) / target)[0]
+        shift = _series(dm.model, y, (pts[inside, 0] + 1j * pts[inside, 1]) / target,
+                        False)
         up, down = dm.r0 - dm.r_inner, dm.r_outer - dm.r0
         nominal = np.where(target < dm.r0 + shift,
                            (up * target + dm.r_inner * shift) / (up + shift),

@@ -51,12 +51,15 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
     A = A^T (and M symmetric) rather than A Hermitian.
 
     Stops when ||r||_2 <= tol * ||b||_2 for the recursively updated
-    residual r.  Returns (x, info) where info carries the iteration count,
-    the preconditioned residual norm history sqrt|r^T M^-1 r| (monotone
-    for SPD A and M in exact arithmetic) and the true final residual
-    ||b - A x|| / ||b||, which costs one more product with A.  Raises
-    NotConvergedError past maxit and NotFiniteError when the residual or
-    x stops being finite.
+    residual r, tested before r is preconditioned, so a solve that converges
+    in k iterations applies precond k times.  Returns (x, info) where info
+    carries the iteration count, the preconditioned residual norm history
+    sqrt|r^T M^-1 r| with one entry per precond call (monotone for SPD A
+    and M in exact arithmetic; the final residual, which is never
+    preconditioned, has none) and the true final residual ||b - A x|| /
+    ||b||, which costs one more product with A.  Raises NotConvergedError
+    past maxit and NotFiniteError when the residual or x stops being
+    finite.
     """
     A = A if sp.issparse(A) else sp.csr_matrix(A)
     b = np.asarray(b)
@@ -65,7 +68,7 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
     r = b.astype(x.dtype)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return x, {"iterations": 0, "residual_norms": [0.0], "residual": 0.0}
+        return x, {"iterations": 0, "residual_norms": [], "residual": 0.0}
 
     real = not np.iscomplexobj(x)
     z = precond(r)
@@ -81,9 +84,6 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = precond(r)
-        rz_new = r @ z
-        history.append(np.sqrt(abs(rz_new)))
         rnorm = np.linalg.norm(r)
         if not math.isfinite(rnorm):
             raise NotFiniteError(f"non-finite residual at iteration {it}")
@@ -93,6 +93,9 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
             residual = np.linalg.norm(b - A @ x) / bnorm
             return x, {"iterations": it, "residual_norms": history,
                        "residual": float(residual)}
+        z = precond(r)
+        rz_new = r @ z
+        history.append(np.sqrt(abs(rz_new)))
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p

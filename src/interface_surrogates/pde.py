@@ -14,6 +14,9 @@ mollifier breakpoints.  Phi is the identity outside the two mollifier
 bands, so only band triangles move with y: the CSR pattern, the slot of
 every element-matrix entry in it and the sums over all other triangles are
 built once per problem, and a sample adds its band triangles with bincount.
+It reads them off the polar factors of DPhi (geometry.map_jacobian with
+polar=True): the stiffness needs only the quadrature-averaged pullback
+metric, three numbers per triangle, and no 2 x 2 Jacobian is formed.
 For the same reason A(y) stays close to the nominal A(0): both problems
 factor A(0) once and solve each sample by CG preconditioned by that factor
 (mean-based preconditioning, Powell & Elman 2009).
@@ -21,8 +24,13 @@ factor A(0) once and solve each sample by CG preconditioned by that factor
 The transmission problem is solved for the scattered field with the
 incident plane wave imposed through a volume term supported on the inner
 region (where the coefficients deviate from the background), and a radial
-complex-stretching absorbing layer closes the truncated exterior.
+complex-stretching absorbing layer closes the truncated exterior.  The
+total field adds the incident wave where it is read: at every vertex when
+its data is first accessed, at the corners of the located triangles for a
+point evaluation.
 """
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,6 +131,38 @@ class ScalarField:
         return self.mesh.interpolate(self.data, points)
 
 
+class _TotalField(ScalarField):
+    """Total transmission field u_s + u_inc of the sample y.
+
+    data, the total at every vertex, is formed on first access.  A point
+    evaluation adds the incident wave only at the corners of the triangles
+    that hold the points, which is all a point QoI reads.
+    """
+
+    def __init__(self, problem, y, scattered, info):
+        # ScalarField.__init__ would set data, which is computed here
+        self.mesh = problem.mesh
+        self.scattered = scattered
+        self.pml_mask = problem._pml_mask
+        self.info = info
+        self._problem, self._y = problem, np.array(y, dtype=float)
+
+    @functools.cached_property
+    def data(self):
+        phys = ~self.pml_mask
+        total = self.scattered.copy()
+        total[phys] += self._problem._incident(self._y, self.mesh.vertices[phys])
+        return total
+
+    def __call__(self, points):
+        tri, lams = self.mesh.locate(points)
+        corners = self.mesh.triangles[tri]
+        vals = self.scattered[corners]
+        phys = ~self.pml_mask[corners]
+        vals[phys] += self._problem._incident(self._y, self.mesh.vertices[corners[phys]])
+        return (vals * lams).sum(axis=1)
+
+
 def _bincount(slots, vals, n):
     """Sum vals into n bins by slot; slot n collects the dropped entries."""
     slots, vals = slots.ravel(), vals.ravel()
@@ -131,30 +171,47 @@ def _bincount(slots, vals, n):
     return np.bincount(slots, vals, minlength=n + 1)[:n]
 
 
+class _Elements:
+    """P1 data of a set of triangles, triangle index last.
+
+    tris lists the triangles inside the interface first; n_inner counts
+    them.  area is (t,); gx and gy (3, t) are the gradients of the
+    barycentric coordinates; quad (3 t, 2) holds the quadrature points
+    quadrature-major (point q of triangle k is row q t + k), so a sum over
+    q is two adds of (t,) rows; slots (9, t) is the CSR slot of
+    element-matrix entry (i, j) in row 3 i + j, and dof_slots (3, t) the
+    load slot of vertex i.
+    """
+
+    def __init__(self, mesh, tris, area, slots, dof_slots):
+        inside = mesh.region[tris] == REGION_INNER
+        self.tris = tris[np.argsort(~inside, kind="stable")]
+        self.n_inner = int(np.count_nonzero(inside))
+        self.size = self.tris.size
+        v = mesh.vertices[mesh.triangles[self.tris]]  # (t, 3, 2)
+        x, y = v[..., 0].T, v[..., 1].T
+        self.area = area[self.tris]
+        twice = 2 * self.area
+        self.gx = (y[[1, 2, 0]] - y[[2, 0, 1]]) / twice
+        self.gy = (x[[2, 0, 1]] - x[[1, 2, 0]]) / twice
+        self.quad = (_Q2 @ v).transpose(1, 0, 2).reshape(-1, 2)
+        self.slots = np.ascontiguousarray(slots[self.tris].T)
+        self.dof_slots = np.ascontiguousarray(dof_slots[self.tris].T)
+
+    def region_values(self, inside, outside):
+        """Per-triangle values: inside for the first n_inner triangles, outside after."""
+        return np.where(np.arange(self.size) < self.n_inner, inside, outside)
+
+
 class _FemCache:
-    """Mesh-dependent arrays shared by every sample: P1 gradients, areas,
-    quadrature points, the band triangles that move with y, Dirichlet dof
-    numbering, and the interior-dof CSR pattern with the slot of every
-    element-matrix entry in it."""
+    """Mesh-dependent data shared by every sample: Dirichlet dof numbering,
+    the interior-dof CSR pattern, and the _Elements of the band triangles,
+    the only ones that move with y.  The _Elements of the fixed triangles
+    are handed out once, by take_fixed, for the problem to sum at set-up;
+    no per-triangle array of the whole mesh is kept."""
 
     def __init__(self, mesh):
         tri = mesh.triangles.astype(np.int64)
-        v = mesh.vertices[tri]
-        x, ybar = v[..., 0], v[..., 1]
-        self.area = mesh.areas()
-        grads = np.empty((tri.shape[0], 3, 2))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            grads[:, i, 0] = (ybar[:, j] - ybar[:, k])
-            grads[:, i, 1] = (x[:, k] - x[:, j])
-        self.grads = grads / (2 * self.area)[:, None, None]
-        self.quad = _Q2 @ v  # (t, q, 2)
-        moving = (mesh.band == BAND_INNER) | (mesh.band == BAND_OUTER)
-        self.moving = np.nonzero(moving)[0]
-        self.fixed = np.nonzero(~moving)[0]
-        self.moving_quad = self.quad[self.moving].reshape(-1, 2)
-        self.moving_band = np.repeat(mesh.band[self.moving], 3)
-
         dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
         interior = mesh.interior_nodes()
         dof[interior] = np.arange(interior.size)
@@ -173,30 +230,41 @@ class _FemCache:
         pattern.data = np.arange(self.nnz, dtype=float)
         slots = np.full(rows.size, self.nnz)
         slots[keep] = np.asarray(pattern[rows[keep], cols[keep]]).ravel()
-        self.slots = slots.reshape(-1, 9)
-        self.dof_slots = np.where(d >= 0, d, n)
+        slots = slots.reshape(-1, 9)
+        dof_slots = np.where(d >= 0, d, n)
 
-    def matrix_sum(self, tris, S):
-        """Element matrices S of triangles tris, summed into CSR values."""
-        return _bincount(self.slots.take(tris, axis=0), S, self.nnz)
+        area = mesh.areas()
+        moving = (mesh.band == BAND_INNER) | (mesh.band == BAND_OUTER)
+        self.band = _Elements(mesh, np.nonzero(moving)[0], area, slots, dof_slots)
+        # chi branch of each band quadrature point, laid out like band.quad
+        self.band_tags = np.tile(mesh.band[self.band.tris], 3)
+        self._fixed = _Elements(mesh, np.nonzero(~moving)[0], area, slots, dof_slots)
 
-    def sums(self, tris, S, bt):
-        """Element matrices S and loads bt of triangles tris, summed into CSR
-        values and an interior-dof load vector."""
-        return (self.matrix_sum(tris, S),
-                _bincount(self.dof_slots.take(tris, axis=0), bt, self.n_int))
+    def take_fixed(self):
+        """The fixed triangles' _Elements, handed out once."""
+        fixed, self._fixed = self._fixed, None
+        return fixed
 
 
 class _MappedProblem:
     """Assembly of -div(alpha grad u) - kappa2 u shared by both problems.
 
-    A subclass sets mesh, dm, cache and the per-triangle _alpha and _kappa2
-    (zero for diffusion), and defines _load(tris, J, det, mapped), with
-    mapped the image Phi(y; .) of the triangles' quadrature points.  The map
-    moves no triangle outside the two bands, so _fix sums those once, at
-    y = 0 where the map is the identity; _assemble(y) adds the rest from one
-    map_jacobian(..., image=True) call, which gives both DPhi and Phi at the
-    band quadrature points from one series evaluation.
+    A subclass sets mesh, dm and cache, calls _fix() and defines
+      _coefficients(el): alpha area and kappa2 area per triangle of an
+        _Elements, with None for a kappa2 that vanishes, so that no mass
+        term is formed;
+      _fixed_jacobian(el): the Jacobian at the fixed triangles' quadrature
+        points, the identity except in an absorbing layer;
+      _load(el, cs, sn, g, m01, m11): el's summed load vector, given the
+        polar factors (3, t) of DPhi at its quadrature points.
+    The map moves no triangle outside the two bands, so _fix sums those
+    once, at set-up, through _pullback.  _assemble(y) adds the band
+    triangles from one map_jacobian(..., polar=True) call.  With DPhi =
+    Q [[g, m01], [0, m11]] Q^T, its pullback metric is Q Kp Q^T for the
+    pullback metric Kp of the triangular factor, detDPhi = g m11 and Phi is
+    the points times m11, so no 2 x 2 Jacobian is formed per point.  The
+    metric enters the stiffness only through its quadrature average Kbar,
+    three numbers per triangle.
 
     The first _solve factors A(0); each sample then runs CG (COCG for the
     complex Helmholtz matrix) preconditioned by it.  assemble never factors.
@@ -204,33 +272,37 @@ class _MappedProblem:
 
     _factor = None
 
-    def _element_matrices(self, tris, J):
-        """Element matrices (t, 3, 3) of triangles tris and detJ, given the
-        Jacobian J of shape (t, 3, 2, 2) at their quadrature points."""
+    def _values(self, el, coef, Kxx, Kxy, Kyy, det):
+        """CSR values of el's element matrices alpha area g_i^T Kbar g_j,
+        minus kappa2 area times the mass matrix of weight det (3, t), for
+        coef = (alpha area, kappa2 area or None) and the averaged pullback
+        metric Kbar = [[Kxx, Kxy], [Kxy, Kyy]] per triangle."""
+        alpha, kappa2 = coef
+        kxx, kxy, kyy = alpha * Kxx, alpha * Kxy, alpha * Kyy
+        gx, gy = el.gx, el.gy
+        # S[i, j] = g_i . (alpha area Kbar g_j)
+        S = gx[:, None] * (kxx * gx + kxy * gy) + gy[:, None] * (kxy * gx + kyy * gy)
+        if kappa2 is not None:
+            S -= (_MASS.T @ (kappa2 * det)).reshape(3, 3, -1)
+        return _bincount(el.slots, S, self.cache.nnz)
+
+    def _element_matrices(self, el, J):
+        """CSR values of el's element matrices, given the Jacobian J at its
+        quadrature points, (3, t, 2, 2) or one (2, 2) for all."""
+        K, det = _pullback(np.broadcast_to(J, (3, el.size, 2, 2)))
+        Kbar = (K[0] + K[1] + K[2]) / 3
+        return self._values(el, self._coefficients(el), Kbar[:, 0, 0], Kbar[:, 0, 1],
+                            Kbar[:, 1, 1], det)
+
+    def _fix(self):
+        """Sum the fixed triangles once; the map moves none of their
+        quadrature points, so their load takes the identity factors."""
         cache = self.cache
-        K, det = _pullback(J)
-        Kbar = np.einsum("q,tqde->tde", _W2, K)
-        # take gathers the rows of a 2-d or 3-d array several times faster
-        # than fancy indexing
-        area, grads = cache.area[tris], cache.grads.take(tris, axis=0)
-        coef = (self._alpha[tris] * area)[:, None, None] * Kbar
-        mass = (self._kappa2[tris] * area)[:, None] * (det @ _MASS)
-        # optimize=True contracts in two steps instead of one 3-operand loop
-        S = (np.einsum("tid,tde,tje->tij", grads, coef, grads, optimize=True)
-             - mass.reshape(-1, 3, 3))
-        return S, det
-
-    def _sums(self, tris, J, mapped):
-        """Summed element matrices and loads of triangles tris, given J and
-        the mapped quadrature points (t, 3, 2)."""
-        S, det = self._element_matrices(tris, J)
-        return self.cache.sums(tris, S, self._load(tris, J, det, mapped))
-
-    def _fix(self, J):
-        """Sum the fixed triangles once; J is I there except in a PML, and
-        the map moves none of their quadrature points."""
-        fixed = self.cache.fixed
-        self._fixed = self._sums(fixed, J, self.cache.quad[fixed])
+        el = cache.take_fixed()
+        identity = [np.full((3, el.size), f) for f in (1.0, 0.0, 1.0, 0.0, 1.0)]
+        self._fixed = (self._element_matrices(el, self._fixed_jacobian(el)),
+                       self._load(el, *identity))
+        self._band_coef = self._coefficients(cache.band)
 
     def _matrix(self, band_values):
         """CSR matrix of the fixed triangles plus the band triangles' values."""
@@ -240,20 +312,31 @@ class _MappedProblem:
 
     def _assemble(self, y):
         cache = self.cache
-        J, mapped = map_jacobian(self.dm, y, cache.moving_quad, cache.moving_band,
-                                 image=True)
-        values, b = self._sums(cache.moving, J.reshape(-1, 3, 2, 2),
-                               mapped.reshape(-1, 3, 2))
-        return self._matrix(values), self._fixed[1] + b
+        el = cache.band
+        factors = [f.reshape(3, -1) for f in map_jacobian(
+            self.dm, y, el.quad, cache.band_tags, polar=True)]
+        cs, sn, g, m01, m11 = factors
+        # pullback metric [[k00, k01], [k01, k11]] of [[g, m01], [0, m11]]
+        k01 = -m01 / m11
+        k11 = g / m11
+        k00 = (m11 - m01 * k01) / g
+        # rotated by phi: Kxx, Kyy = mean +- half and Kxy = off, with
+        # cos 2 phi = c2 and sin 2 phi = s2
+        c2, s2 = cs * cs - sn * sn, 2 * cs * sn
+        mean, diff = (k00 + k11) / 2, (k00 - k11) / 2
+        half, off = diff * c2 - k01 * s2, diff * s2 + k01 * c2
+        # averaged over the three quadrature points (equal weights)
+        mean, half, off = ((a[0] + a[1] + a[2]) / 3 for a in (mean, half, off))
+        values = self._values(el, self._band_coef, mean + half, off, mean - half, g * m11)
+        return self._matrix(values), self._fixed[1] + self._load(el, *factors)
 
     def _nominal_factor(self):
         """LU factor of A(0): the map is the identity at y = 0, so the band
-        triangles are summed with J = I, like the fixed ones, and no load."""
+        triangles take Kbar = I and detDPhi = 1, and no load."""
         if self._factor is None:
-            moving = self.cache.moving
-            J = np.tile(np.eye(2), (moving.size, 3, 1, 1))
-            S, _ = self._element_matrices(moving, J)
-            self._factor = lu_factor(self._matrix(self.cache.matrix_sum(moving, S)))
+            el = self.cache.band
+            values = self._values(el, self._band_coef, 1.0, 0.0, 1.0, np.ones((3, el.size)))
+            self._factor = lu_factor(self._matrix(values))
         return self._factor
 
     def _solve(self, y, tol):
@@ -288,14 +371,18 @@ class EllipticProblem(_MappedProblem):
         self.source = source
         self.cg_tol = cg_tol
         self.cache = _FemCache(mesh)
-        self._alpha = np.where(mesh.region == REGION_INNER, self.alpha_i, 1.0)
-        self._kappa2 = np.zeros(mesh.n_triangles)
-        self._fix(np.tile(np.eye(2), (self.cache.fixed.size, 3, 1, 1)))
+        self._fix()
 
-    def _load(self, tris, J, det, mapped):
-        # fhat = f(Phi(x)) detJ at the quadrature points
-        fval = self.source(mapped.reshape(-1, 2)).reshape(-1, 3) * det
-        return (fval @ _LOAD) * self.cache.area[tris, None]
+    def _coefficients(self, el):
+        return el.area * el.region_values(self.alpha_i, 1.0), None
+
+    def _fixed_jacobian(self, el):
+        return np.eye(2)
+
+    def _load(self, el, cs, sn, g, m01, m11):
+        # fhat = f(Phi(x)) detDPhi at the quadrature points, Phi(x) = x m11
+        fval = self.source(el.quad * m11.reshape(-1, 1)).reshape(3, -1) * (g * m11)
+        return _bincount(el.dof_slots, (_LOAD.T @ fval) * el.area, self.cache.n_int)
 
     def assemble(self, y):
         """Stiffness matrix and load vector on interior dofs."""
@@ -319,7 +406,8 @@ class HelmholtzProblem(_MappedProblem):
 
     Each sample runs COCG preconditioned by the nominal factor, to relative
     residual COCG_TOL; a solve whose true residual exceeds RESIDUAL_BOUND
-    raises SolverError.
+    raises SolverError.  solve returns the total field; it adds the
+    incident wave where it is read (see _TotalField).
     """
 
     def __init__(self, mesh, dm, alpha_i, kappa_i, kappa_o,
@@ -340,16 +428,19 @@ class HelmholtzProblem(_MappedProblem):
         self.pml_damping = float(pml_damping)
         self.R = mesh.circles[2]
         self.pml_thickness = mesh.circles[3] - mesh.circles[2]
-        self.cache = cache = _FemCache(mesh)
-        self._inner = mesh.region == REGION_INNER
-        self._alpha = np.where(self._inner, self.alpha_i, 1.0)
-        self._kappa2 = np.where(self._inner, self.kappa_i**2, self.kappa_o**2)
-        fixed = cache.fixed
-        J = np.tile(np.eye(2, dtype=complex), (fixed.size, 3, 1, 1))
-        pml = mesh.band[fixed] == BAND_PML
-        J[pml] = self._pml_jacobian(cache.quad[fixed[pml]])
-        self._fix(J)
+        self.cache = _FemCache(mesh)
+        self._fix()
         self._pml_mask = np.hypot(*mesh.vertices.T) > self.R + 1e-12
+
+    def _coefficients(self, el):
+        return (el.area * el.region_values(self.alpha_i, 1.0),
+                el.area * el.region_values(self.kappa_i**2, self.kappa_o**2))
+
+    def _fixed_jacobian(self, el):
+        J = np.tile(np.eye(2, dtype=complex), (3 * el.size, 1, 1))
+        pml = np.tile(self.mesh.band[el.tris] == BAND_PML, 3)
+        J[pml] = self._pml_jacobian(el.quad[pml])
+        return J.reshape(3, el.size, 2, 2)
 
     def _pml_jacobian(self, qp):
         """Jacobian d e_rho e_rho^T + s e_phi e_phi^T, (s, d) = (rho~/rho,
@@ -371,26 +462,30 @@ class HelmholtzProblem(_MappedProblem):
         return (np.einsum("...,...d,...e->...de", d, e_rho, e_rho)
                 + np.einsum("...,...d,...e->...de", s, e_phi, e_phi))
 
-    def _load(self, tris, J, det, mapped):
+    def _load(self, el, cs, sn, g, m01, m11):
         # incident-wave source, supported where coefficients deviate from
-        # the background (the inner region)
-        cache = self.cache
-        inner = self._inner[tris]
-        t, J = tris[inner], J[inner]
-        uinc = np.exp(1j * self.kappa_o * (mapped[inner] @ self.direction))
-        # the pulled-back incident wave has gradient J^T (i kappa_o dhat) uinc
-        # and K J^T = adj(J), so its pulled-back flux is adj(J) (i kappa_o dhat) uinc
+        # the background: el's first n_inner triangles
+        n = el.n_inner
+        cs, sn, g, m01, m11 = (f[:, :n] for f in (cs, sn, g, m01, m11))
+        points = el.quad.reshape(3, -1, 2)[:, :n]
+        uinc = np.exp(1j * self.kappa_o * ((points @ self.direction) * m11))
+        # the pulled-back incident wave has gradient DPhi^T (i kappa_o dhat)
+        # uinc and K DPhi^T = adj(DPhi) = Q [[m11, -m01], [0, g]] Q^T, so
+        # its pulled-back flux is adj(DPhi) (i kappa_o dhat) uinc
         d0, d1 = self.direction
-        flux = np.stack([J[..., 1, 1] * d0 - J[..., 0, 1] * d1,
-                         J[..., 0, 0] * d1 - J[..., 1, 0] * d0], axis=-1) * (
-            1j * self.kappa_o * uinc)[..., None]
-        stiff_term = np.einsum("tqd,tid->tqi", (self.alpha_i - 1.0) * flux,
-                               cache.grads.take(t, axis=0))
-        mass_term = (self.kappa_i**2 - self.kappa_o**2) * det[inner] * uinc
-        integrand = -stiff_term + np.einsum("tq,qi->tqi", mass_term, _Q2)
-        bt = np.zeros((tris.size, 3), dtype=complex)
-        bt[inner] = cache.area[t][:, None] * np.einsum("q,tqi->ti", _W2, integrand)
-        return bt
+        radial, angular = cs * d0 + sn * d1, cs * d1 - sn * d0
+        u, v = m11 * radial - m01 * angular, g * angular
+        fx = ((cs * u - sn * v) * uinc).sum(axis=0)
+        fy = ((sn * u + cs * v) * uinc).sum(axis=0)
+        stiff = el.gx[:, :n] * fx + el.gy[:, :n] * fy
+        mass = _LOAD.T @ (g * m11 * uinc)
+        bt = el.area[:n] * ((self.kappa_i**2 - self.kappa_o**2) * mass
+                            - (1j * self.kappa_o * (self.alpha_i - 1.0) / 3) * stiff)
+        return _bincount(el.dof_slots[:, :n], bt, self.cache.n_int)
+
+    def _incident(self, y, points):
+        """Incident wave exp(i kappa_o dhat . Phi(y; x)) at nominal points x."""
+        return np.exp(1j * self.kappa_o * (map_forward(self.dm, y, points) @ self.direction))
 
     def assemble(self, y):
         """Stiffness minus mass matrix and load vector on interior dofs."""
@@ -402,13 +497,7 @@ class HelmholtzProblem(_MappedProblem):
             raise SolverError(
                 f"COCG failed for y={np.asarray(y)!r}: true residual "
                 f"{info['residual']:.3e} above {RESIDUAL_BOUND:.0e}", y)
-
-        phys = ~self._pml_mask
-        mapped = map_forward(self.dm, y, self.mesh.vertices[phys])
-        total = us.copy()
-        total[phys] += np.exp(1j * self.kappa_o * (mapped @ self.direction))
-        return ScalarField(self.mesh, total, scattered=us, pml_mask=self._pml_mask,
-                           info=info)
+        return _TotalField(self, y, us, info)
 
 
 def evaluate_qoi(field, dm, y, points, kind):

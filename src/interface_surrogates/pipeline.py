@@ -9,6 +9,7 @@ keyed by a hash of the data-affecting part of the config.
 """
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -367,17 +368,24 @@ class Dataset:
         return self.samples, self.qoi
 
 
-def gen_data(config, n=None, seed=None, workers=1):
-    """Generate n (y, q) pairs for config; see sample_parameters for seeding."""
+def gen_data(config, n=None, seed=None, workers=1, workspace=None):
+    """Generate n (y, q) pairs for config; see sample_parameters for seeding.
+
+    A sequential run (workers <= 1) solves on workspace, a Workspace built
+    from config's data signature, when one is given, and on a fresh one
+    otherwise; worker processes build their own.
+    """
     n = config.n_train if n is None else int(n)
     seed = config.seed if seed is None else int(seed)
     if n < 1:
         raise PipelineError("need at least one sample")
+    if workspace is not None and workspace.config.data_hash() != config.data_hash():
+        raise PipelineError("workspace was built for a different data signature")
     t0 = time.time()
     samples = np.empty((n, config.d))
     qoi = np.empty((n, config.n_points))
     if workers <= 1:
-        ws = Workspace(config)
+        ws = Workspace(config) if workspace is None else workspace
         mesh = ws.mesh
         for i in range(n):
             samples[i], qoi[i] = _solve_sample(ws, seed, i)
@@ -456,7 +464,9 @@ def split_stream(config, split):
     return config.n_test, config.seed + TEST_STREAM
 
 
-def _ensure_dataset(config, split, out_dir, workers, reuse, stem):
+def _ensure_dataset(config, split, out_dir, workers, reuse, stem, workspace):
+    """Load or generate one split; workspace() gives the Workspace a
+    sequential generation solves on."""
     n, seed = split_stream(config, split)
     base = Path(out_dir) / f"{stem}-{split}"
     if reuse and all(p.exists() for p in _paths(base).values()):
@@ -464,7 +474,8 @@ def _ensure_dataset(config, split, out_dir, workers, reuse, stem):
         # the file name holds no seed, so a stored stream may be another one
         if ds.n >= n and ds.meta["seed"] == seed:
             return Dataset(ds.samples[:n], ds.qoi[:n], ds.meta)
-    ds = gen_data(config, n, seed, workers)
+    ds = gen_data(config, n, seed, workers,
+                  workspace=workspace() if workers <= 1 else None)
     save_dataset(ds, base)
     return ds
 
@@ -536,14 +547,17 @@ def _train_cell(cfg, suffix, top, pairs, out, workers, reuse):
     a stride of the k*m-point circle), at cfg.n_points otherwise.  pairs
     maps what decides dataset content (data hash, seed, sample counts) to
     the pair, so each pair is generated or loaded once, under the stem of
-    the first cell that needs it.  The cell's checkpoint and result are
-    named cfg.tag() + suffix.
+    the first cell that needs it.  Both splits of a pair are solved on one
+    Workspace, built only when a split is generated and dropped with the
+    pair's generation.  The cell's checkpoint and result are named
+    cfg.tag() + suffix.
     """
     big = dataclasses.replace(cfg, n_points=top) if top % cfg.n_points == 0 else cfg
     key = (big.data_hash(), big.seed, big.n_train, big.n_test)
     if key not in pairs:
+        workspace = functools.cache(lambda: Workspace(big))
         pairs[key] = [_ensure_dataset(big, split, out, workers, reuse,
-                                      big.tag() + suffix)
+                                      big.tag() + suffix, workspace)
                       for split in ("train", "test")]
     train_ds, test_ds = (_slice_points(ds, cfg) for ds in pairs[key])
     return train_on_datasets(cfg, train_ds, test_ds, out, cfg.tag() + suffix)[1]

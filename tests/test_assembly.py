@@ -1,6 +1,8 @@
 """The fixed-pattern assembly reproduces the committed reference solves, and
 a sample evaluates the map's Jacobian on the band triangles only, with one
-interface-series evaluation for both the Jacobian and the mapped points."""
+interface-series evaluation for both the Jacobian and the mapped points.
+The polar-frame band kernel matches a Cartesian reference built from DPhi,
+and the transmission field adds the incident wave only where it is read."""
 
 import dataclasses
 import json
@@ -8,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from interface_surrogates import geometry, pde, pipeline
 from interface_surrogates.geometry import BAND_INNER, BAND_OUTER
+from interface_surrogates.mesh import REGION_INNER
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference.json"
 # ROADMAP aim 3: a solver change reproduces the QoI to this relative tolerance
@@ -71,14 +75,145 @@ def test_assemble_sums_the_series_once(case, monkeypatch):
 
 
 def test_jacobian_image_matches_map_forward(case):
+    # the polar factors give DPhi bit for bit and Phi = x m11 to rounding
     _, ws = case
     cache = ws.problem.cache
     dm = ws.problem.dm
+    points = cache.band.quad
     for k in range(3):
         y = pipeline.sample_parameters(3, k, ws.config.d)
-        J, mapped = pde.map_jacobian(dm, y, cache.moving_quad, cache.moving_band,
-                                     image=True)
+        factors = pde.map_jacobian(dm, y, points, cache.band_tags, polar=True)
         np.testing.assert_array_equal(
-            J, pde.map_jacobian(dm, y, cache.moving_quad, cache.moving_band))
-        np.testing.assert_allclose(mapped, geometry.map_forward(dm, y, cache.moving_quad),
+            geometry.polar_jacobian(*factors),
+            pde.map_jacobian(dm, y, points, cache.band_tags))
+        np.testing.assert_allclose(points * factors[4][:, None],
+                                   geometry.map_forward(dm, y, points),
                                    rtol=1e-15, atol=0)
+
+
+# ------------------------------------------------------- band kernel reference
+
+
+def _band_reference(problem, J, y):
+    """Band matrix (CSR over interior dofs) and load vector of problem from
+    its Jacobian J (t, 3, 2, 2) at the band quadrature points, through
+    _pullback and per-triangle einsums (y is None for the nominal matrix,
+    which has no load)."""
+    mesh, cache = problem.mesh, problem.cache
+    tris = cache.band.tris
+    v = mesh.vertices[mesh.triangles[tris]]
+    area = mesh.areas()[tris]
+    grads = np.empty((tris.size, 3, 2))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        grads[:, i, 0] = (v[:, j, 1] - v[:, k, 1]) / (2 * area)
+        grads[:, i, 1] = (v[:, k, 0] - v[:, j, 0]) / (2 * area)
+    inner = mesh.region[tris] == REGION_INNER
+    alpha = np.where(inner, problem.alpha_i, 1.0)
+    K, det = pde._pullback(J)
+    Kbar = np.einsum("q,tqde->tde", pde._W2, K)
+    S = np.einsum("tid,tde,tje->tij", grads, (alpha * area)[:, None, None] * Kbar, grads)
+    helmholtz = isinstance(problem, pde.HelmholtzProblem)
+    if helmholtz:
+        kappa2 = np.where(inner, problem.kappa_i**2, problem.kappa_o**2)
+        S = S - ((kappa2 * area)[:, None] * (det @ pde._MASS)).reshape(-1, 3, 3)
+    dof = np.full(mesh.n_vertices, -1)
+    dof[cache.interior] = np.arange(cache.n_int)
+    d = dof[mesh.triangles[tris]]
+    rows, cols = np.repeat(d, 3, axis=1).ravel(), np.tile(d, 3).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    n = cache.n_int
+    A = sp.csr_matrix((S.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n))
+    if y is None:
+        return A, None
+    quad = np.einsum("qi,tid->tqd", pde._Q2, v)
+    mapped = geometry.map_forward(problem.dm, y, quad)
+    if helmholtz:
+        uinc = np.exp(1j * problem.kappa_o * (mapped @ problem.direction))
+        adj = np.stack([np.stack([J[..., 1, 1], -J[..., 0, 1]], -1),
+                        np.stack([-J[..., 1, 0], J[..., 0, 0]], -1)], -2)
+        flux = (adj @ problem.direction) * (1j * problem.kappa_o * uinc)[..., None]
+        stiff = np.einsum("tqd,tid->tqi", (problem.alpha_i - 1.0) * flux, grads)
+        mass = (problem.kappa_i**2 - problem.kappa_o**2) * det * uinc
+        bt = area[:, None] * np.einsum("q,tqi->ti", pde._W2,
+                                       -stiff + np.einsum("tq,qi->tqi", mass, pde._Q2))
+        bt[~inner] = 0.0
+    else:
+        fval = problem.source(mapped) * det
+        bt = area[:, None] * np.einsum("q,tq,qi->ti", pde._W2, fval, pde._Q2)
+    b = np.zeros(n, dtype=bt.dtype)
+    np.add.at(b, d[d >= 0], bt[d >= 0])
+    return A, b
+
+
+def _fixed_matrix(problem):
+    cache = problem.cache
+    return sp.csr_matrix((problem._fixed[0], cache.indices, cache.indptr),
+                         shape=(cache.n_int, cache.n_int))
+
+
+def _assert_close(got, want):
+    scale = abs(want).max()
+    assert abs(got - want).max() <= 1e-13 * scale
+
+
+def test_band_kernel_matches_cartesian_reference(case):
+    _, ws = case
+    problem = ws.problem
+    cache = problem.cache
+    t = cache.band.size
+    for k in range(3):
+        y = pipeline.sample_parameters(5, k, ws.config.d)
+        J = pde.map_jacobian(problem.dm, y, cache.band.quad, cache.band_tags)
+        ref_A, ref_b = _band_reference(problem, J.reshape(3, t, 2, 2).swapaxes(0, 1), y)
+        A, b = problem.assemble(y)
+        _assert_close(A - _fixed_matrix(problem), ref_A)
+        _assert_close(b - problem._fixed[1], ref_b)
+
+
+def test_nominal_band_values_match_identity_reference(case, monkeypatch):
+    _, ws = case
+    fresh = pipeline.Workspace(ws.config).problem
+    factored = []
+    monkeypatch.setattr(pde, "lu_factor", lambda A: factored.append(A) or "factor")
+    assert fresh._nominal_factor() == "factor"
+    J = np.broadcast_to(np.eye(2), (fresh.cache.band.size, 3, 2, 2))
+    ref_A, _ = _band_reference(fresh, J, None)
+    _assert_close(factored[0] - _fixed_matrix(fresh), ref_A)
+
+
+def test_elliptic_assembly_forms_no_mass_term(monkeypatch):
+    ws = pipeline.Workspace(CONFIGS["elliptic-gen"])
+    y = pipeline.sample_parameters(5, 0, ws.config.d)
+    A, b = ws.problem.assemble(y)
+    # a mass term read through NaN weights would leave NaN entries
+    monkeypatch.setattr(pde, "_MASS", np.full_like(pde._MASS, np.nan))
+    fresh = pipeline.Workspace(ws.config)
+    A2, b2 = fresh.problem.assemble(y)
+    assert np.array_equal(A2.data, A.data) and np.array_equal(b2, b)
+    assert np.isfinite(fresh.solve(y)).all()
+
+
+def test_total_field_adds_incident_wave_where_read(monkeypatch):
+    ws = pipeline.Workspace(CONFIGS["helmholtz-gen"])
+    y = pipeline.sample_parameters(5, 1, ws.config.d)
+    read = []
+    forward = pde.map_forward
+
+    def counting(dm, y, points):
+        read.append(len(points))
+        return forward(dm, y, points)
+
+    monkeypatch.setattr(pde, "map_forward", counting)
+    ws.solve(y)
+    assert 0 < sum(read) <= 3 * ws.config.n_points
+    # a point evaluation agrees with interpolating the total at every vertex,
+    # inside the interface, outside it and in the absorbing layer
+    field = ws.problem.solve(y)
+    rng = np.random.default_rng(0)
+    R = ws.mesh.circles[3]
+    rho, phi = R * np.sqrt(rng.uniform(0, 0.95, 40)), rng.uniform(0, 2 * np.pi, 40)
+    points = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=1)
+    points = np.concatenate([points, ws.points])
+    want = ws.mesh.interpolate(field.data, points)
+    assert abs(field(points) - want).max() <= 1e-14 * abs(want).max()

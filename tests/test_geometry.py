@@ -22,6 +22,7 @@ from interface_surrogates.geometry import (
     max_shape_variation,
     mollifier,
     mollifier_slope,
+    polar_jacobian,
     radius,
 )
 
@@ -176,9 +177,11 @@ def test_jacobian_fast_path_matches_masked():
     masked = map_jacobian(dm, y, both)
     assert np.abs(map_jacobian(dm, y, pts) - masked[:100]).max() <= 1e-15
     assert np.all(masked[100:] == np.eye(2))
-    # the image comes with the Jacobian on both paths; unmoved points exactly
-    J, mapped = map_jacobian(dm, y, both, image=True)
-    assert np.array_equal(J, masked)
+    # the polar factors give the Jacobian on both paths, and the image
+    # Phi = x m11, unmoved points exactly
+    factors = map_jacobian(dm, y, both, polar=True)
+    assert np.array_equal(polar_jacobian(*factors), masked)
+    mapped = both * factors[4][:, None]
     assert np.array_equal(mapped[100:], both[100:])
     assert np.abs(mapped - map_forward(dm, y, both)).max() <= 1e-15
 

@@ -171,3 +171,77 @@ def test_lu_detects_singular():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
         lu_solve(A, np.ones(2))
+
+
+# ------------------------------------------------ one precond call per iteration
+
+
+def _loop_preconditioning_last_residual(A, b, precond, tol, maxit=1000):
+    """cg_solve's loop as it was when it preconditioned the residual before
+    testing it for convergence: (x, iterations, true residual)."""
+    x = np.zeros(b.shape[0], dtype=np.result_type(A.dtype, b.dtype, float))
+    r = b.astype(x.dtype)
+    bnorm = np.linalg.norm(b)
+    z = precond(r)
+    p = z.copy()
+    rz = r @ z
+    for it in range(1, maxit + 1):
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        z = precond(r)
+        rz_new = r @ z
+        if np.linalg.norm(r) <= tol * bnorm:
+            return x, it, float(np.linalg.norm(b - A @ x) / bnorm)
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+    raise AssertionError("reference loop did not converge")
+
+
+def _spd_system():
+    rng = np.random.default_rng(21)
+    n = 150
+    Q = rng.normal(size=(n, n))
+    D = np.diag(10.0 ** rng.uniform(-2, 2, n))
+    A = sp.csr_matrix(D @ (Q @ Q.T / n + np.eye(n)) @ D)
+    return A, rng.normal(size=n), jacobi(A)
+
+
+def _complex_symmetric_system():
+    rng = np.random.default_rng(22)
+    n = 90
+    Q = rng.normal(size=(n, n))
+    nominal = (Q + Q.T) / 4 + n * np.eye(n) + 1j * np.diag(rng.uniform(1, 5, n))
+    E = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    A = sp.csr_matrix(nominal + 0.5 * (E + E.T))
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return A, b, lu_factor(sp.csr_matrix(nominal)).solve
+
+
+@pytest.mark.parametrize("system", [_spd_system, _complex_symmetric_system])
+def test_cg_preconditions_once_per_iteration(system):
+    A, b, precond = system()
+    calls = []
+
+    def counting(r):
+        calls.append(1)
+        return precond(r)
+
+    x, info = cg_solve(A, b, tol=1e-12, precond=counting)
+    assert info["iterations"] > 1
+    assert len(calls) == info["iterations"]
+    assert len(info["residual_norms"]) == info["iterations"]
+    # the iterates, the count and the true residual are those of the loop
+    # that preconditioned the final residual too
+    ref_x, ref_it, ref_residual = _loop_preconditioning_last_residual(A, b, precond, 1e-12)
+    np.testing.assert_array_equal(x, ref_x)
+    assert info["iterations"] == ref_it
+    assert info["residual"] == ref_residual
+
+
+def test_cg_zero_load_runs_no_preconditioner():
+    x, info = cg_solve(laplacian_1d(4), np.zeros(4), precond=pytest.fail)
+    assert not x.any()
+    assert info["iterations"] == 0 and info["residual_norms"] == []

@@ -374,6 +374,30 @@ def test_run_experiment_reuses_saved_datasets(tmp_path):
     assert second["test_error"] == first["test_error"]
 
 
+def test_run_experiment_builds_one_workspace_for_both_splits(tmp_path, monkeypatch):
+    built = []
+    init = pl.Workspace.__init__
+
+    def counting(self, config):
+        built.append(config.data_hash())
+        init(self, config)
+
+    monkeypatch.setattr(pl.Workspace, "__init__", counting)
+    cfg = tiny_config()
+    first = pl.run_experiment(cfg, out_dir=tmp_path)
+    assert built == [cfg.data_hash()]
+    # a reuse pass loads both splits and builds none
+    second = pl.run_experiment(cfg, out_dir=tmp_path, reuse=True)
+    assert len(built) == 1
+    assert second["test_error"] == first["test_error"]
+
+
+def test_gen_data_rejects_workspace_of_another_signature():
+    ws = pl.Workspace(tiny_config())
+    with pytest.raises(pl.PipelineError, match="data signature"):
+        pl.gen_data(tiny_config(p=1.0), 2, 1, workspace=ws)
+
+
 def test_reuse_regenerates_datasets_of_another_seed(tmp_path):
     pl.run_experiment(tiny_config(seed=9), out_dir=tmp_path)
     reused = pl.run_experiment(tiny_config(seed=10), out_dir=tmp_path)
@@ -483,9 +507,9 @@ def test_points_sweep_generates_once_per_data_signature(tmp_path, monkeypatch):
     calls = []
     real = pl.gen_data
 
-    def counting(config, n=None, seed=None, workers=1):
+    def counting(config, n=None, seed=None, workers=1, workspace=None):
         calls.append((config.p, config.n_points, seed))
-        return real(config, n, seed, workers)
+        return real(config, n, seed, workers, workspace)
 
     monkeypatch.setattr(pl, "gen_data", counting)
     base = tiny_config(n_points=1)
@@ -551,9 +575,9 @@ def test_sweep_over_training_field_shares_one_dataset_pair(tmp_path, monkeypatch
     calls = []
     real = pl.gen_data
 
-    def counting(config, n=None, seed=None, workers=1):
+    def counting(config, n=None, seed=None, workers=1, workspace=None):
         calls.append((config.lr, seed))
-        return real(config, n, seed, workers)
+        return real(config, n, seed, workers, workspace)
 
     monkeypatch.setattr(pl, "gen_data", counting)
     lrs = [1e-3, 2e-3, 4e-3]
