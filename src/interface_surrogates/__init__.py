@@ -34,6 +34,7 @@ from .linalg import (
     cg_solve,
     lu_factor,
     lu_solve,
+    nominal_factor,
 )
 from .mesh import (
     REGION_INNER,

@@ -7,13 +7,20 @@ counts, the preconditioned residual history and the true final residual are
 available to callers and tests.  Its inner products are unconjugated, so on
 a complex-symmetric matrix (A = A^T, not Hermitian) the same loop is the
 conjugate orthogonal CG method (COCG).  Both problems run it preconditioned
-by an LU factorization of their nominal matrix (lu_factor).  lu_solve is
-the one-shot direct solver, with partial pivoting and an explicit
-zero-pivot check, kept as the reference the iterative path is tested
-against.
+by the exact inverse of their nominal matrix A(0), from nominal_factor,
+which picks one of two solves by what the mesh shows.  On a mesh whose
+rings are all circles A(0) is block-circulant in azimuth: an FFT along each
+ring turns it into one tridiagonal system in the ring index per azimuthal
+mode, factored together once (the Fourier-analysis fast solver, Hockney
+1965).  Any other mesh, such as the square one whose outer rings blend
+into the square, takes a sparse LU factorization of A(0) (lu_factor).
+lu_solve is the one-shot direct solver, with partial pivoting and an
+explicit zero-pivot check, kept as the reference the iterative path is
+tested against.
 """
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +42,22 @@ class SingularMatrixError(RuntimeError):
 
 class NotFiniteError(RuntimeError):
     """An iterative solve produced a non-finite iterate."""
+
+
+# the azimuthal solve refuses a matrix with an entry this far, relative to
+# its largest entry, from the mean of its (ring, ring offset, azimuth
+# offset) class; the disk meshes' A(0) stays near 5e-14
+CIRCULANT_TOL = 1e-12
+
+
+class NominalFactor(NamedTuple):
+    """A factored nominal matrix: method "fft" (azimuthal FFT and mode
+    solve) or "lu" (sparse LU), the stored L + U entries of the system it
+    factored, and solve, r -> A(0)^-1 r."""
+
+    method: str
+    fill: int
+    solve: Callable
 
 
 def assemble_csr(rows, cols, vals, n):
@@ -116,6 +139,90 @@ def lu_factor(A):
         return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc
+
+
+def nominal_method(rings):
+    """The nominal solve nominal_factor runs on a mesh of this RingLayout
+    (None for a mesh not built from rings): "fft" when every ring, the
+    boundary ring included, is a circle, else "lu"."""
+    return "fft" if rings is not None and rings.circles == rings.count else "lu"
+
+
+def nominal_factor(A, rings):
+    """Factor the nominal matrix A, on the interior dofs of a mesh with
+    RingLayout rings (the boundary ring eliminated), for repeated solves.
+
+    Returns a NominalFactor.  The "lu" method is lu_factor.  The "fft"
+    method reads A as block-circulant: it averages each class of entries
+    that one (ring, ring offset, azimuth offset) shares, raising ValueError
+    when an entry is more than CIRCULANT_TOL max|A| from its class mean or
+    couples rings more than one apart.  A unitary DFT along the azimuth
+    then turns A into one tridiagonal system in the ring index per mode,
+    mode 0 also carrying the centre vertex; these are ordered centre first,
+    then mode by mode, and factored as one matrix by splu with NATURAL
+    ordering, so the factor keeps the band.  Raises SingularMatrixError
+    when a mode system has an exactly zero pivot.
+    """
+    if nominal_method(rings) == "lu":
+        lu = lu_factor(A)
+        return NominalFactor("lu", lu.nnz, lu.solve)
+    m, nring = rings.m, rings.count - 1
+    n = 1 + nring * m
+    coo = sp.coo_matrix(A)
+    if coo.shape != (n, n):
+        raise ValueError(f"matrix of shape {coo.shape} on {nring} interior rings of {m}")
+    row, col, val = coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
+    # ring and azimuth of each entry's row and column; the centre is ring -1
+    kr, ir = np.divmod(row - 1, m)
+    kc, ic = np.divmod(col - 1, m)
+    dk = kc - kr
+    centre = (row == 0) | (col == 0)
+    if np.any(centre & (np.maximum(kr, kc) > 0)) or np.any(np.abs(dk) > 1):
+        raise ValueError("matrix couples rings more than one apart")
+    # class 0 is the centre's diagonal, 1 its row, 2 its column, and
+    # 3 + (3 k + dk + 1) m + s ring k's entries at ring offset dk and
+    # azimuth offset s
+    cls = np.where(centre, (col > 0) + 2 * (row > 0),
+                   3 + (3 * kr + dk + 1) * m + (ic - ir) % m)
+    size = 3 + 3 * nring * m
+    count = np.bincount(cls, minlength=size)
+    total = np.bincount(cls, val.real, minlength=size)
+    if np.iscomplexobj(val):
+        total = total + 1j * np.bincount(cls, val.imag, minlength=size)
+    mean = total / np.maximum(count, 1)
+    deviation = np.abs(val - mean[cls]).max(initial=0.0)
+    bound = CIRCULANT_TOL * np.abs(val).max(initial=0.0)
+    if np.any(count[1:] % m) or deviation > bound:
+        raise ValueError(f"matrix is not block-circulant: an entry is {deviation:.2e} "
+                         f"from its class mean, above {bound:.2e}")
+    # eigenvalues sum_s c_s e^(2 pi i p s / m) of each circulant block, (nring, 3, m)
+    lam = m * np.fft.ifft(mean[3:].reshape(nring, 3, m), axis=-1)
+    idx = 1 + np.arange(m)[:, None] * nring + np.arange(nring)  # mode p, ring k
+    root = np.sqrt(m)
+    rows = np.concatenate([[0, 0, 1], idx.ravel(), idx[:, :-1].ravel(), idx[:, 1:].ravel()])
+    cols = np.concatenate([[0, 1, 0], idx.ravel(), idx[:, 1:].ravel(), idx[:, :-1].ravel()])
+    vals = np.concatenate([[mean[0], root * mean[1], root * mean[2]], lam[:, 1].T.ravel(),
+                           lam[:-1, 2].T.ravel(), lam[1:, 0].T.ravel()])
+    try:
+        lu = spla.splu(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)),
+                       permc_spec="NATURAL")
+    except RuntimeError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    real = not np.iscomplexobj(val)
+
+    def solve(r):
+        modes = np.empty(n, dtype=complex)
+        modes[0] = r[0]
+        modes[1:].reshape(m, nring)[:] = np.fft.fft(r[1:].reshape(nring, m),
+                                                    axis=1, norm="ortho").T
+        modes = lu.solve(modes)
+        x = np.empty(n, dtype=complex)
+        x[0] = modes[0]
+        x[1:].reshape(nring, m)[:] = np.fft.ifft(modes[1:].reshape(m, nring).T,
+                                                 axis=1, norm="ortho")
+        return x.real if real else x
+
+    return NominalFactor("fft", lu.nnz, solve)
 
 
 def lu_solve(A, b):

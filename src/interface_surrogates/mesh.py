@@ -7,8 +7,11 @@ the mollifier breakpoint circles (and the absorbing-layer circles for the
 disk), so no triangle straddles a coefficient discontinuity and every
 triangle carries an unambiguous chi-branch tag.  The square domain adds a
 few template rings that interpolate between the outermost circle and the
-square boundary.
+square boundary.  A built mesh records this layout (RingLayout), which
+check_mesh verifies and the nominal solve of linalg reads.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +42,16 @@ class MeshError(ValueError):
     pass
 
 
+class RingLayout(NamedTuple):
+    """Vertex numbering of a fan-plus-rings mesh: vertex (k, i), azimuth
+    2 pi i / m on ring k, is 1 + k m + i; the last ring is the boundary,
+    and rings 0 ... circles - 1 are circles."""
+
+    m: int
+    count: int
+    circles: int
+
+
 class Mesh:
     """Conforming triangle mesh with region and chi-branch tags.
 
@@ -48,15 +61,18 @@ class Mesh:
     band      : (m,) uint8, geometry.BAND_* chi-branch of each triangle
     boundary  : sorted uint32 vertex ids of the outer (Dirichlet) boundary
     circles   : radii of the circles the mesh conforms to
+    rings     : RingLayout of a mesh built from rings, None for any other
     """
 
-    def __init__(self, vertices, triangles, region, band, boundary, circles):
+    def __init__(self, vertices, triangles, region, band, boundary, circles,
+                 rings=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.uint32)
         self.region = np.ascontiguousarray(region, dtype=np.uint8)
         self.band = np.ascontiguousarray(band, dtype=np.uint8)
         self.boundary = np.ascontiguousarray(np.sort(boundary), dtype=np.uint32)
         self.circles = tuple(float(c) for c in circles)
+        self.rings = rings
         self._grid = None
 
     @property
@@ -72,9 +88,6 @@ class Mesh:
         d1 = v[:, 1] - v[:, 0]
         d2 = v[:, 2] - v[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def centroids(self):
-        return self.vertices[self.triangles].mean(axis=1)
 
     def interior_nodes(self):
         mask = np.ones(self.n_vertices, dtype=bool)
@@ -218,26 +231,39 @@ def _rings(radii, m, circles, pml_start=None):
     return unit, radii[:, None, None] * unit, bands
 
 
-def _assemble_rings(ring_points, ring_bands):
-    """Fan plus strip connectivity for a stack of equal-length vertex rings.
-
-    ring_points is (nring, m, 2); ring_bands holds the band of the fan and
-    of each strip.  The fan comes first, then per ring and azimuth the two
-    strip triangles (a0, b0, b1) and (a0, b1, a1).
-    """
-    nring, m = ring_points.shape[:2]
-    vertices = np.concatenate([np.zeros((1, 2)), ring_points.reshape(-1, 2)])
+def _ring_triangles(nring, m):
+    """The fan, then per ring and azimuth the two strip triangles (a0, b0,
+    b1) and (a0, b1, a1), of nring rings of m vertices."""
     first = 1 + m * np.arange(nring)[:, None]
     a = first + np.arange(m)  # vertex (k, i)
     b = first + (np.arange(m) + 1) % m  # vertex (k, i + 1)
     fan = np.stack([np.zeros(m, dtype=np.int64), a[0], b[0]], axis=1)
     strips = np.stack([a[:-1], a[1:], b[1:], a[:-1], b[1:], b[:-1]], axis=-1)
-    triangles = np.concatenate([fan, strips.reshape(-1, 3)]).astype(np.uint32)
+    return np.concatenate([fan, strips.reshape(-1, 3)]).astype(np.uint32)
+
+
+def _assemble_rings(ring_points, ring_bands):
+    """Fan plus strip connectivity for a stack of equal-length vertex rings.
+
+    ring_points is (nring, m, 2); ring_bands holds the band of the fan and
+    of each strip.  Returns vertices, triangles (_ring_triangles), region,
+    band and boundary, the last ring.
+    """
+    nring, m = ring_points.shape[:2]
+    vertices = np.concatenate([np.zeros((1, 2)), ring_points.reshape(-1, 2)])
+    triangles = _ring_triangles(nring, m)
     counts = np.full(nring, 2 * m)
     counts[0] = m
     band = np.repeat(ring_bands, counts).astype(np.uint8)
     boundary = np.arange(1 + (nring - 1) * m, 1 + nring * m, dtype=np.uint32)
     return vertices, triangles, _REGION_OF_BAND[band], band, boundary
+
+
+def _ring_mesh(ring_points, ring_bands, circles, n_circular):
+    """Mesh of _assemble_rings' arrays whose first n_circular rings are circles."""
+    nring, m = ring_points.shape[:2]
+    return Mesh(*_assemble_rings(ring_points, ring_bands), circles,
+                RingLayout(m, nring, n_circular))
 
 
 def _azimuth_count(radii, size, minimum=16):
@@ -269,7 +295,7 @@ def build_square_mesh(r0, r_inner, r_outer, h_interface, h_far):
     fill = (1 - s) * r_outer * unit + s * square
     ring_points = np.concatenate([ring_points, fill, square[None]])
     ring_bands = np.concatenate([ring_bands, np.full(n_fill, BAND_FAR)])
-    return Mesh(*_assemble_rings(ring_points, ring_bands), circles)
+    return _ring_mesh(ring_points, ring_bands, circles, len(radii))
 
 
 def build_disk_mesh(r0, r_inner, R, pml_thickness, h_interface, h_far):
@@ -297,11 +323,12 @@ def build_disk_mesh(r0, r_inner, R, pml_thickness, h_interface, h_far):
     _, ring_points, ring_bands = _rings(radii, m, (r_inner, r0, R),
                                         R if pml else None)
     circles = (r_inner, r0, R) + ((R + pml_thickness,) if pml else ())
-    return Mesh(*_assemble_rings(ring_points, ring_bands), circles)
+    return _ring_mesh(ring_points, ring_bands, circles, len(radii))
 
 
 def check_mesh(mesh, tol=1e-12):
-    """Verify orientation, conformity, tags and circle alignment.
+    """Verify orientation, conformity, tags, circle alignment and the ring
+    layout, when the mesh records one.
 
     Raises MeshError on the first violation, otherwise returns a stats
     dictionary (counts, area total, minimum angle, edge length range).
@@ -337,8 +364,28 @@ def check_mesh(mesh, tol=1e-12):
         if np.any((tri_sides.max(axis=1) == 1) & (tri_sides.min(axis=1) == -1)):
             raise MeshError(f"triangle straddles the circle of radius {c}")
 
+    if mesh.rings is not None:
+        m, count, circular = mesh.rings
+        if (mesh.n_vertices != 1 + count * m
+                or not np.array_equal(mesh.triangles, _ring_triangles(count, m))):
+            raise MeshError("vertices are not numbered ring by ring")
+        if not np.array_equal(mesh.boundary, np.arange(1 + (count - 1) * m, 1 + count * m)):
+            raise MeshError("the boundary is not the last ring")
+        theta = 2 * np.pi * np.arange(m) / m
+        points = mesh.vertices[1:].reshape(count, m, 2)
+        # vertex (k, i) lies on the ray at azimuth theta_i
+        cs, sn = np.cos(theta), np.sin(theta)
+        along = points[..., 0] * cs + points[..., 1] * sn
+        across = points[..., 1] * cs - points[..., 0] * sn
+        scale = max(1.0, rho.max())
+        if along.min() <= 0 or np.abs(across).max() > tol * scale:
+            raise MeshError("a ring vertex is off its azimuth")
+        radii = rho[1:].reshape(count, m)[:circular]
+        if circular and np.ptp(radii, axis=1).max() > tol * scale:
+            raise MeshError("a ring called a circle has more than one radius")
+
     # band tags must be consistent with centroid radii
-    cen = mesh.centroids()
+    cen = mesh.vertices[mesh.triangles].mean(axis=1)
     cen_rho = np.hypot(cen[:, 0], cen[:, 1])
     limits = {BAND_CORE: (0.0, mesh.circles[0]),
               BAND_INNER: (mesh.circles[0], mesh.circles[1]),

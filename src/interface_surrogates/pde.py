@@ -19,7 +19,11 @@ polar=True): the stiffness needs only the quadrature-averaged pullback
 metric, three numbers per triangle, and no 2 x 2 Jacobian is formed.
 For the same reason A(y) stays close to the nominal A(0): both problems
 factor A(0) once and solve each sample by CG preconditioned by that factor
-(mean-based preconditioning, Powell & Elman 2009).
+(mean-based preconditioning, Powell & Elman 2009).  linalg.nominal_factor
+picks the factor by what the mesh shows: on a mesh whose rings are all
+circles (every disk mesh) A(0) is block-circulant in azimuth and is solved
+by an FFT along the rings and one banded mode solve; on any other mesh,
+the square one among them, by a sparse LU of A(0).
 
 The transmission problem is solved for the scattered field with the
 incident plane wave imposed through a volume term supported on the inner
@@ -49,8 +53,8 @@ from .linalg import (
     SingularMatrixError,
     assemble_csr,
     cg_solve,
-    lu_factor,
     lu_solve,  # not called here; benchmark/tracing.py wraps pde.lu_solve
+    nominal_factor,
 )
 from .mesh import REGION_INNER
 
@@ -65,7 +69,9 @@ class SolverError(RuntimeError):
 # Helmholtz solves stop at this relative residual (QoIs then match a direct
 # solve to ~1e-10), and reject a solution whose true residual ||b - A x|| / ||b||
 # exceeds RESIDUAL_BOUND (on the desk presets it stays below 1.6 COCG_TOL).
-# Both problems stop at COCG_MAXIT iterations; nominal-factor solves take 7-14.
+# Both problems stop at COCG_MAXIT iterations; preconditioned by A(0)^-1,
+# from the azimuthal FFT solve on disk meshes or sparse LU on the square
+# one, they take 7-14.
 COCG_TOL = 1e-12
 COCG_MAXIT = 500
 RESIDUAL_BOUND = 100 * COCG_TOL
@@ -266,8 +272,11 @@ class _MappedProblem:
     metric enters the stiffness only through its quadrature average Kbar,
     three numbers per triangle.
 
-    The first _solve factors A(0); each sample then runs CG (COCG for the
-    complex Helmholtz matrix) preconditioned by it.  assemble never factors.
+    The first _solve factors A(0) (linalg.nominal_factor, by FFT or LU as
+    the mesh's ring layout allows); each sample then runs CG (COCG for the
+    complex Helmholtz matrix) preconditioned by it, and its info names the
+    nominal solve ("nominal") and that factor's fill ("nominal_fill").
+    assemble never factors.
     """
 
     _factor = None
@@ -331,12 +340,12 @@ class _MappedProblem:
         return self._matrix(values), self._fixed[1] + self._load(el, *factors)
 
     def _nominal_factor(self):
-        """LU factor of A(0): the map is the identity at y = 0, so the band
-        triangles take Kbar = I and detDPhi = 1, and no load."""
+        """linalg.NominalFactor of A(0): the map is the identity at y = 0, so
+        the band triangles take Kbar = I and detDPhi = 1, and no load."""
         if self._factor is None:
             el = self.cache.band
             values = self._values(el, self._band_coef, 1.0, 0.0, 1.0, np.ones((3, el.size)))
-            self._factor = lu_factor(self._matrix(values))
+            self._factor = nominal_factor(self._matrix(values), self.mesh.rings)
         return self._factor
 
     def _solve(self, y, tol):
@@ -344,10 +353,11 @@ class _MappedProblem:
         and the solver info; a failed solve raises SolverError with y."""
         A, b = self.assemble(y)
         try:
-            u_int, info = cg_solve(A, b, tol=tol, maxit=COCG_MAXIT,
-                                   precond=self._nominal_factor().solve)
+            factor = self._nominal_factor()
+            u_int, info = cg_solve(A, b, tol=tol, maxit=COCG_MAXIT, precond=factor.solve)
         except (NotConvergedError, SingularMatrixError, NotFiniteError) as exc:
             raise SolverError(f"COCG failed for y={np.asarray(y)!r}: {exc}", y) from exc
+        info.update(nominal=factor.method, nominal_fill=factor.fill)
         u = np.zeros(self.mesh.n_vertices, dtype=u_int.dtype)
         u[self.cache.interior] = u_int
         return u, info
@@ -359,8 +369,9 @@ class EllipticProblem(_MappedProblem):
     -div(alpha grad u) = f on the square, u = 0 on the boundary, alpha =
     alpha_i inside the interface and 1 outside.  Solved on the nominal
     mesh via the pullback coefficients; the linear systems are SPD and go
-    through conjugate gradients preconditioned by the nominal factor, to
-    relative residual cg_tol.  No true-residual bound is applied: at
+    through conjugate gradients preconditioned by the nominal factor (a
+    sparse LU on the square mesh, the azimuthal FFT solve on a disk mesh),
+    to relative residual cg_tol.  No true-residual bound is applied: at
     alpha_i = 1000 it stagnates near 4e-8, hundreds of times cg_tol.
     """
 
@@ -406,8 +417,10 @@ class HelmholtzProblem(_MappedProblem):
 
     Each sample runs COCG preconditioned by the nominal factor, to relative
     residual COCG_TOL; a solve whose true residual exceeds RESIDUAL_BOUND
-    raises SolverError.  solve returns the total field; it adds the
-    incident wave where it is read (see _TotalField).
+    raises SolverError.  The mesh is a disk of circular rings, so the
+    nominal factor is the azimuthal FFT solve of linalg.nominal_factor.
+    solve returns the total field; it adds the incident wave where it is
+    read (see _TotalField).
     """
 
     def __init__(self, mesh, dm, alpha_i, kappa_i, kappa_o,

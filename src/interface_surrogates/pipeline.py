@@ -24,6 +24,7 @@ import numpy as np
 
 from . import plotting, surrogate
 from .geometry import DomainMap, InterfaceModel, max_shape_variation
+from .linalg import nominal_method
 from .mesh import build_disk_mesh, build_square_mesh
 from .pde import (
     COCG_TOL,
@@ -407,7 +408,8 @@ def gen_data(config, n=None, seed=None, workers=1, workspace=None):
         "d": config.d,
         "n_points": config.n_points,
         "mesh_checksum": mesh_checksum(mesh),
-        "solver": {"method": "nominal-lu-cocg", "tol": config.solver_tol()},
+        "solver": {"method": f"nominal-{nominal_method(mesh.rings)}-cocg",
+                   "tol": config.solver_tol()},
         "wall_time": time.time() - t0,
         "created": datetime.now(timezone.utc).isoformat(),
     }

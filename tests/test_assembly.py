@@ -175,7 +175,8 @@ def test_nominal_band_values_match_identity_reference(case, monkeypatch):
     _, ws = case
     fresh = pipeline.Workspace(ws.config).problem
     factored = []
-    monkeypatch.setattr(pde, "lu_factor", lambda A: factored.append(A) or "factor")
+    monkeypatch.setattr(pde, "nominal_factor",
+                        lambda A, rings: factored.append(A) or "factor")
     assert fresh._nominal_factor() == "factor"
     J = np.broadcast_to(np.eye(2), (fresh.cache.band.size, 3, 2, 2))
     ref_A, _ = _band_reference(fresh, J, None)

@@ -12,7 +12,10 @@ from interface_surrogates.linalg import (
     cg_solve,
     lu_factor,
     lu_solve,
+    nominal_factor,
+    nominal_method,
 )
+from interface_surrogates.mesh import RingLayout
 
 
 def jacobi(A):
@@ -143,6 +146,74 @@ def test_lu_factor_detects_exact_singularity():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
         lu_factor(A)
+
+
+def polar_stencil(m, nring, complex_shift=0.0):
+    """Symmetric block-circulant matrix on a centre plus nring rings of m
+    vertices, numbered as a ring mesh's interior dofs: each ring couples to
+    its azimuth neighbours, to the next ring at azimuth offsets 0 and +1
+    and, ring 0, to the centre."""
+    n = 1 + nring * m
+    vid = lambda k, i: 1 + k * m + i % m
+    A = sp.lil_matrix((n, n), dtype=complex)
+    A[0, 0] = 4.0
+    for i in range(m):
+        A[0, vid(0, i)] = A[vid(0, i), 0] = -0.5
+        for k in range(nring):
+            A[vid(k, i), vid(k, i)] = 6.0 + k + 1j * complex_shift * (k + 1)
+            A[vid(k, i), vid(k, i + 1)] = A[vid(k, i + 1), vid(k, i)] = -1.0
+            if k + 1 < nring:
+                A[vid(k, i), vid(k + 1, i)] = A[vid(k + 1, i), vid(k, i)] = -1.5
+                A[vid(k, i), vid(k + 1, i + 1)] = A[vid(k + 1, i + 1), vid(k, i)] = -0.25
+    A = A.tocsr()
+    return A if complex_shift else A.real
+
+
+def test_nominal_method_follows_ring_layout():
+    assert nominal_method(RingLayout(8, 4, 4)) == "fft"
+    assert nominal_method(RingLayout(8, 4, 3)) == "lu"
+    assert nominal_method(None) == "lu"
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+def test_nominal_factor_fft_inverts_block_circulant(shift):
+    m, nring = 8, 3
+    A = polar_stencil(m, nring, shift)
+    factor = nominal_factor(A, RingLayout(m, nring + 1, nring + 1))
+    assert factor.method == "fft"
+    # one tridiagonal mode system, banded under the natural order
+    assert factor.fill <= 5 * A.shape[0]
+    b = np.random.default_rng(1).standard_normal(A.shape[0])
+    x = factor.solve(b)
+    assert np.iscomplexobj(x) == bool(shift)
+    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-12, atol=1e-12)
+    # the same matrix on a layout that is not all circles goes to LU
+    lu = nominal_factor(A, RingLayout(m, nring + 1, nring))
+    assert lu.method == "lu"
+    np.testing.assert_allclose(lu.solve(b), x, rtol=1e-12, atol=1e-12)
+
+
+def test_nominal_factor_rejects_matrix_that_is_not_circulant():
+    m, nring = 8, 3
+    rings = RingLayout(m, nring + 1, nring + 1)
+    A = polar_stencil(m, nring)
+    A[5, 5] *= 1 + 1e-10
+    with pytest.raises(ValueError, match="not block-circulant"):
+        nominal_factor(A, rings)
+    # a coupling between rings two apart
+    A = polar_stencil(m, nring).tolil()
+    A[1, 1 + 2 * m] = A[1 + 2 * m, 1] = -0.1
+    with pytest.raises(ValueError, match="more than one apart"):
+        nominal_factor(A.tocsr(), rings)
+
+
+def test_nominal_factor_fft_detects_singular_mode_system():
+    # the rings' diagonal blocks vanish: every mode system has a zero pivot
+    m, nring = 8, 2
+    n = 1 + nring * m
+    A = sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n))
+    with pytest.raises(SingularMatrixError):
+        nominal_factor(A, RingLayout(m, nring + 1, nring + 1))
 
 
 def test_assemble_sums_duplicates():

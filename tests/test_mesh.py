@@ -23,8 +23,13 @@ from interface_surrogates.mesh import (
     MeshError,
     build_disk_mesh,
     build_square_mesh,
+    RingLayout,
     check_mesh,
 )
+
+
+def centroids(mesh):
+    return mesh.vertices[mesh.triangles].mean(axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +62,7 @@ def test_rings_exactly_on_circles(square_coarse):
 
 
 def test_region_tags_partition_square(square_coarse):
-    cen = square_coarse.centroids()
+    cen = centroids(square_coarse)
     rho = np.hypot(cen[:, 0], cen[:, 1])
     inner = square_coarse.region == REGION_INNER
     assert np.all(rho[inner] < 0.5) and np.all(rho[~inner] > 0.5)
@@ -66,7 +71,7 @@ def test_region_tags_partition_square(square_coarse):
 
 
 def test_band_tags_square(square_coarse):
-    cen = square_coarse.centroids()
+    cen = centroids(square_coarse)
     rho = np.hypot(cen[:, 0], cen[:, 1])
     assert np.all((rho[square_coarse.band == BAND_INNER] > 0.125))
     assert np.all((rho[square_coarse.band == BAND_INNER] < 0.5))
@@ -86,7 +91,7 @@ def test_disk_mesh_conforms(disk_coarse):
 
 
 def test_disk_pml_band(disk_coarse):
-    cen = disk_coarse.centroids()
+    cen = centroids(disk_coarse)
     rho = np.hypot(cen[:, 0], cen[:, 1])
     pml = disk_coarse.band == BAND_PML
     assert np.any(pml)
@@ -117,7 +122,7 @@ def test_wavelength_resolution():
 
 
 def test_locate_centroids(square_coarse):
-    cen = square_coarse.centroids()
+    cen = centroids(square_coarse)
     idx, lam = square_coarse.locate(cen[::37])
     assert np.all(idx == np.arange(square_coarse.n_triangles)[::37])
     assert np.allclose(lam, 1 / 3, atol=1e-12)
@@ -210,7 +215,7 @@ def test_locate_matches_brute_force(name, square_coarse):
 @pytest.mark.parametrize("preset", ["desk-elliptic", "desk-helmholtz", "table2-alpha1000"])
 def test_locate_grid_entries_bounded(preset):
     mesh = pipeline._nominal_mesh(pipeline.preset(preset).data_signature())
-    mesh.locate(mesh.centroids()[:1])  # builds the grid
+    mesh.locate(centroids(mesh)[:1])  # builds the grid
     box_lo, cell, nx, ny, offsets, members = mesh._grid
     assert offsets[-1] == members.size
     assert members.size <= mesh_module._GRID_ENTRIES * mesh.n_triangles
@@ -223,7 +228,7 @@ def test_locate_grid_sized_below_largest_triangle():
     # the graded square mesh: a grid sized by its largest triangle has
     # 10 x 10 cells of ~64 triangles each
     mesh = pipeline._nominal_mesh(pipeline.preset("desk-elliptic").data_signature())
-    mesh.locate(mesh.centroids()[:1])
+    mesh.locate(centroids(mesh)[:1])
     _, _, nx, ny, offsets, _ = mesh._grid
     assert nx * ny > 400
     assert np.diff(offsets).mean() < 16
@@ -236,7 +241,7 @@ def test_locate_rejects_point_in_empty_cell(disk_coarse):
     assert empty.size  # the corners of the disk's bounding box
     i, j = divmod(empty[0], ny)
     outside = box_lo + cell * (np.array([i, j]) + 0.5)
-    inside = disk_coarse.centroids()[:5]
+    inside = centroids(disk_coarse)[:5]
     with pytest.raises(MeshError, match=r"outside the mesh$"):
         disk_coarse.locate(np.vstack([inside[:2], outside, inside[2:]]))
 
@@ -250,7 +255,7 @@ def test_locate_rejects_point_past_snap_tolerance(square_coarse):
     edge = v[t][on_right[t]]
     mid = edge.mean(axis=0)
     height = 2 * square_coarse.areas()[t] / np.hypot(*(edge[1] - edge[0]))
-    inside = square_coarse.centroids()[:4]
+    inside = centroids(square_coarse)[:4]
     near = mid + [0.5 * tol * height, 0.0]
     far = mid + [2.0 * tol * height, 0.0]
     idx, lam = square_coarse.locate(np.vstack([inside, near]))
@@ -269,7 +274,7 @@ def test_locate_builds_grid_once(monkeypatch):
         real(self)
 
     monkeypatch.setattr(Mesh, "_build_grid", counting)
-    cen = mesh.centroids()
+    cen = centroids(mesh)
     for k in range(3):
         idx, _ = mesh.locate(cen[k::50])
         assert np.all(idx == np.arange(mesh.n_triangles)[k::50])
@@ -284,6 +289,51 @@ def test_checker_catches_flipped_triangle(square_coarse):
                square_coarse.circles)
     with pytest.raises(MeshError):
         check_mesh(bad)
+
+
+def test_builders_record_ring_layout(square_coarse, disk_coarse):
+    # the square's template rings beyond the outer circle are not circles
+    m, count, circles = square_coarse.rings
+    assert square_coarse.n_vertices == 1 + count * m and circles < count
+    rho = np.hypot(*square_coarse.vertices[1:].T).reshape(count, m)
+    assert np.ptp(rho[circles - 1]) <= 1e-15 and np.ptp(rho[circles]) > 0.1
+    m, count, circles = disk_coarse.rings
+    assert disk_coarse.n_vertices == 1 + count * m and circles == count
+
+
+def _renumbered(mesh, a, b):
+    """mesh with vertices a and b swapped, triangles following them."""
+    perm = np.arange(mesh.n_vertices)
+    perm[[a, b]] = [b, a]
+    return Mesh(mesh.vertices[perm], perm[mesh.triangles], mesh.region, mesh.band,
+                mesh.boundary, mesh.circles, mesh.rings)
+
+
+@pytest.mark.parametrize("fixture", ["square_coarse", "disk_coarse"])
+def test_checker_catches_perturbed_or_renumbered_ring(fixture, request):
+    mesh = request.getfixturevalue(fixture)
+    m, count, circles = mesh.rings
+    check_mesh(mesh)
+    # one vertex of a circular ring moved outwards along its ray, by far too
+    # little to straddle a circle or flip a triangle
+    v = 1 + 2 * m + 3
+    moved = mesh.vertices.copy()
+    moved[v] *= 1 + 1e-7
+    bad = Mesh(moved, mesh.triangles, mesh.region, mesh.band, mesh.boundary,
+               mesh.circles, mesh.rings)
+    with pytest.raises(MeshError, match="more than one radius"):
+        check_mesh(bad)
+    # the same mesh with two neighbours of one ring renumbered
+    with pytest.raises(MeshError, match="numbered ring by ring"):
+        check_mesh(_renumbered(mesh, v, v + 1))
+    # a ring layout that does not match the mesh
+    wrong = Mesh(mesh.vertices, mesh.triangles, mesh.region, mesh.band, mesh.boundary,
+                 mesh.circles, RingLayout(m // 2, 2 * count, circles))
+    with pytest.raises(MeshError, match="numbered ring by ring"):
+        check_mesh(wrong)
+    # the same arrays without a layout pass
+    check_mesh(Mesh(moved, mesh.triangles, mesh.region, mesh.band, mesh.boundary,
+                    mesh.circles))
 
 
 def test_checker_catches_straddle(square_coarse):

@@ -10,6 +10,7 @@ from interface_surrogates.geometry import DomainMap, InterfaceModel, map_forward
 from interface_surrogates.linalg import NotConvergedError, SingularMatrixError
 from interface_surrogates.mesh import build_disk_mesh
 from interface_surrogates.pde import (
+    EllipticProblem,
     HelmholtzProblem,
     SolverError,
     circle_points,
@@ -141,7 +142,7 @@ def test_singular_system_raises_solver_error(mesh, dm, monkeypatch):
 
 
 def test_singular_nominal_factor_raises_solver_error(mesh, dm, monkeypatch):
-    monkeypatch.setattr(pde, "lu_factor", _fail(SingularMatrixError("exactly singular")))
+    monkeypatch.setattr(pde, "nominal_factor", _fail(SingularMatrixError("exactly singular")))
     prob = HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
     y = np.full(8, -0.2)
     with pytest.raises(SolverError, match="exactly singular") as err:
@@ -242,3 +243,47 @@ def test_nominal_factor_builds_no_load(mesh, dm, monkeypatch):
     A0, _ = prob.assemble(np.zeros(8))
     x = np.random.default_rng(2).standard_normal(A0.shape[0])
     np.testing.assert_allclose(factor.solve(A0 @ x), x, rtol=1e-8, atol=1e-8)
+
+
+# ------------------------------- azimuthal FFT nominal solve vs the LU one
+
+def _desk_problem(mesh, dm):
+    return pipeline.Workspace(DESK).problem
+
+
+def _fixture_problem(mesh, dm):
+    return HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
+
+
+def _elliptic_disk_problem(mesh, dm):
+    # no absorbing layer: A(0) is real
+    r0 = 0.5
+    disk_map = DomainMap(InterfaceModel(r0=r0, d=8, p=3, c=0.08), r0 / 4, 0.875)
+    disk = build_disk_mesh(r0, r0 / 4, 1.0, 0.0, 0.05, 0.1)
+    return EllipticProblem(disk, disk_map, alpha_i=10.0)
+
+
+@pytest.mark.parametrize("build", [_desk_problem, _fixture_problem, _elliptic_disk_problem],
+                         ids=["desk-helmholtz", "fixture", "elliptic-disk"])
+def test_fft_nominal_factor_matches_lu(build, mesh, dm):
+    prob = build(mesh, dm)
+    d = prob.dm.model.d
+    fft = prob._nominal_factor()
+    assert fft.method == "fft" and fft.fill > 0
+    A0, _ = prob.assemble(np.zeros(d))
+    lu = linalg.nominal_factor(A0, None)
+    assert lu.method == "lu"
+    x = np.random.default_rng(4).standard_normal(A0.shape[0])
+    got = fft.solve(A0 @ x)
+    assert got.dtype == (A0 @ x).dtype
+    assert np.linalg.norm(got - x) <= 1e-9 * np.linalg.norm(x)
+    # per-sample COCG iterations over a fixed sample set match the LU ones
+    ys = [pipeline.sample_parameters(31, k, d) for k in range(4)]
+    runs = {}
+    for factor in (fft, lu):
+        prob._factor = factor
+        infos = [prob.solve(y).info for y in ys]
+        assert all(info["nominal"] == factor.method for info in infos)
+        assert all(info["nominal_fill"] == factor.fill for info in infos)
+        runs[factor.method] = [info["iterations"] for info in infos]
+    assert runs["fft"] == runs["lu"]

@@ -275,6 +275,7 @@ def test_gen_data_shapes_and_metadata():
     assert ds.meta["config_hash"] == cfg.data_hash()
     assert ds.meta["n_samples"] == 5 and ds.meta["seed"] == 9
     assert len(ds.meta["mesh_checksum"]) == 64
+    # the square mesh's outer rings are not circles: sparse LU nominal solve
     assert ds.meta["solver"] == {"method": "nominal-lu-cocg", "tol": cfg.cg_tol}
     np.testing.assert_array_equal(ds.samples[2],
                                   pl.sample_parameters(cfg.seed, 2, cfg.d))
@@ -295,7 +296,8 @@ def test_gen_data_helmholtz_sanity():
     assert np.all(np.isfinite(ds.qoi)) and np.all(ds.qoi > 0)
     norms = np.linalg.norm(ds.qoi, axis=1)
     assert np.all(norms < 10.0 * np.sqrt(cfg.n_points))  # max |u_inc| = 1
-    assert ds.meta["solver"] == {"method": "nominal-lu-cocg", "tol": 1e-12}
+    # a disk mesh of circular rings: the azimuthal FFT nominal solve
+    assert ds.meta["solver"] == {"method": "nominal-fft-cocg", "tol": 1e-12}
 
 
 def test_dataset_invariants():
