@@ -14,9 +14,10 @@ mollifier breakpoints.  Phi is the identity outside the two mollifier
 bands, so only band triangles move with y: the CSR pattern, the slot of
 every element-matrix entry in it and the sums over all other triangles are
 built once per problem, and a sample adds its band triangles with bincount.
-It reads them off the polar factors of DPhi (geometry.map_jacobian with
-polar=True): the stiffness needs only the quadrature-averaged pullback
-metric, three numbers per triangle, and no 2 x 2 Jacobian is formed.
+Every triangle is read off the polar factors of its Jacobian (map_jacobian
+with polar=True in the band, the identity or the absorbing layer's radial
+stretch elsewhere): the stiffness needs only the quadrature-averaged
+pullback metric, three numbers per triangle, and no 2 x 2 Jacobian is formed.
 For the same reason A(y) stays close to the nominal A(0): both problems
 factor A(0) once and solve each sample by CG preconditioned by that factor
 (mean-based preconditioning, Powell & Elman 2009).  linalg.nominal_factor
@@ -43,6 +44,7 @@ from .geometry import (
     BAND_INNER,
     BAND_OUTER,
     BAND_PML,
+    kink_hyperplane,
     map_forward,
     map_inverse,
     map_jacobian,
@@ -110,27 +112,30 @@ def circle_points(r0, n):
     return r0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _pullback(J):
-    """Pullback metric J^-1 J^-T detJ and detJ for Jacobians J of shape (..., 2, 2)."""
-    a, b = J[..., 0, 0], J[..., 0, 1]
-    c, d = J[..., 1, 0], J[..., 1, 1]
-    det = a * d - b * c
-    K = np.empty_like(J)
-    K[..., 0, 0] = (d * d + b * b) / det
-    K[..., 0, 1] = -(c * d + a * b) / det
-    K[..., 1, 0] = K[..., 0, 1]
-    K[..., 1, 1] = (a * a + c * c) / det
-    return K, det
+def _metric(cs, sn, g, m01, m11):
+    """Averaged pullback metric Kbar = [[Kxx, Kxy], [Kxy, Kyy]], (t,) each,
+    and detDPhi (3, t) of t triangles, from the polar factors (3, t) of DPhi
+    = Q [[g, m01], [0, m11]] Q^T, Q the rotation by phi, at their points."""
+    # pullback metric [[k00, k01], [k01, k11]] of [[g, m01], [0, m11]]
+    k01 = -m01 / m11
+    k11 = g / m11
+    k00 = (m11 - m01 * k01) / g
+    # rotated by phi: Kxx, Kyy = mean +- half and Kxy = off, with
+    # cos 2 phi = c2 and sin 2 phi = s2
+    c2, s2 = cs * cs - sn * sn, 2 * cs * sn
+    mean, diff = (k00 + k11) / 2, (k00 - k11) / 2
+    half, off = diff * c2 - k01 * s2, diff * s2 + k01 * c2
+    # averaged over the three quadrature points (equal weights)
+    mean, half, off = ((a[0] + a[1] + a[2]) / 3 for a in (mean, half, off))
+    return mean + half, off, mean - half, g * m11
 
 
 class ScalarField:
-    """Nodal P1 field on a mesh, with optional extras from the solver."""
+    """Nodal P1 field on a mesh, with the solver's info."""
 
-    def __init__(self, mesh, data, scattered=None, pml_mask=None, info=None):
+    def __init__(self, mesh, data, info=None):
         self.mesh = mesh
         self.data = data
-        self.scattered = scattered
-        self.pml_mask = pml_mask
         self.info = info or {}
 
     def __call__(self, points):
@@ -259,18 +264,16 @@ class _MappedProblem:
       _coefficients(el): alpha area and kappa2 area per triangle of an
         _Elements, with None for a kappa2 that vanishes, so that no mass
         term is formed;
-      _fixed_jacobian(el): the Jacobian at the fixed triangles' quadrature
-        points, the identity except in an absorbing layer;
       _load(el, cs, sn, g, m01, m11): el's summed load vector, given the
-        polar factors (3, t) of DPhi at its quadrature points.
-    The map moves no triangle outside the two bands, so _fix sums those
-    once, at set-up, through _pullback.  _assemble(y) adds the band
-    triangles from one map_jacobian(..., polar=True) call.  With DPhi =
-    Q [[g, m01], [0, m11]] Q^T, its pullback metric is Q Kp Q^T for the
-    pullback metric Kp of the triangular factor, detDPhi = g m11 and Phi is
-    the points times m11, so no 2 x 2 Jacobian is formed per point.  The
-    metric enters the stiffness only through its quadrature average Kbar,
-    three numbers per triangle.
+        polar factors (3, t) of DPhi at its quadrature points;
+    and may override _fixed_factors(el), the identity, with an absorbing
+    layer's stretch.  The map moves no triangle outside the two bands, so
+    _fix sums those once, at set-up, from _fixed_factors; _assemble(y) adds
+    the band triangles from one map_jacobian(..., polar=True) call.  Both
+    go through _metric: with DPhi = Q [[g, m01], [0, m11]] Q^T, the pullback
+    metric is Q Kp Q^T for that Kp of the triangular factor, detDPhi = g m11
+    and Phi is the points times m11, so no 2 x 2 Jacobian is formed.  The
+    stiffness reads only the quadrature average Kbar of the metric.
 
     The first _solve factors A(0) (linalg.nominal_factor, by FFT or LU as
     the mesh's ring layout allows); each sample then runs CG (COCG for the
@@ -295,23 +298,17 @@ class _MappedProblem:
             S -= (_MASS.T @ (kappa2 * det)).reshape(3, 3, -1)
         return _bincount(el.slots, S, self.cache.nnz)
 
-    def _element_matrices(self, el, J):
-        """CSR values of el's element matrices, given the Jacobian J at its
-        quadrature points, (3, t, 2, 2) or one (2, 2) for all."""
-        K, det = _pullback(np.broadcast_to(J, (3, el.size, 2, 2)))
-        Kbar = (K[0] + K[1] + K[2]) / 3
-        return self._values(el, self._coefficients(el), Kbar[:, 0, 0], Kbar[:, 0, 1],
-                            Kbar[:, 1, 1], det)
+    def _fixed_factors(self, el):
+        """Polar factors (3, t) of the fixed triangles: the identity."""
+        return [np.full((3, el.size), f) for f in (1.0, 0.0, 1.0, 0.0, 1.0)]
 
     def _fix(self):
-        """Sum the fixed triangles once; the map moves none of their
-        quadrature points, so their load takes the identity factors."""
-        cache = self.cache
-        el = cache.take_fixed()
-        identity = [np.full((3, el.size), f) for f in (1.0, 0.0, 1.0, 0.0, 1.0)]
-        self._fixed = (self._element_matrices(el, self._fixed_jacobian(el)),
-                       self._load(el, *identity))
-        self._band_coef = self._coefficients(cache.band)
+        """Sum the fixed triangles once, matrix and load from _fixed_factors."""
+        el = self.cache.take_fixed()
+        factors = self._fixed_factors(el)
+        self._fixed = (self._values(el, self._coefficients(el), *_metric(*factors)),
+                       self._load(el, *factors))
+        self._band_coef = self._coefficients(self.cache.band)
 
     def _matrix(self, band_values):
         """CSR matrix of the fixed triangles plus the band triangles' values."""
@@ -324,19 +321,7 @@ class _MappedProblem:
         el = cache.band
         factors = [f.reshape(3, -1) for f in map_jacobian(
             self.dm, y, el.quad, cache.band_tags, polar=True)]
-        cs, sn, g, m01, m11 = factors
-        # pullback metric [[k00, k01], [k01, k11]] of [[g, m01], [0, m11]]
-        k01 = -m01 / m11
-        k11 = g / m11
-        k00 = (m11 - m01 * k01) / g
-        # rotated by phi: Kxx, Kyy = mean +- half and Kxy = off, with
-        # cos 2 phi = c2 and sin 2 phi = s2
-        c2, s2 = cs * cs - sn * sn, 2 * cs * sn
-        mean, diff = (k00 + k11) / 2, (k00 - k11) / 2
-        half, off = diff * c2 - k01 * s2, diff * s2 + k01 * c2
-        # averaged over the three quadrature points (equal weights)
-        mean, half, off = ((a[0] + a[1] + a[2]) / 3 for a in (mean, half, off))
-        values = self._values(el, self._band_coef, mean + half, off, mean - half, g * m11)
+        values = self._values(el, self._band_coef, *_metric(*factors))
         return self._matrix(values), self._fixed[1] + self._load(el, *factors)
 
     def _nominal_factor(self):
@@ -386,9 +371,6 @@ class EllipticProblem(_MappedProblem):
 
     def _coefficients(self, el):
         return el.area * el.region_values(self.alpha_i, 1.0), None
-
-    def _fixed_jacobian(self, el):
-        return np.eye(2)
 
     def _load(self, el, cs, sn, g, m01, m11):
         # fhat = f(Phi(x)) detDPhi at the quadrature points, Phi(x) = x m11
@@ -449,31 +431,31 @@ class HelmholtzProblem(_MappedProblem):
         return (el.area * el.region_values(self.alpha_i, 1.0),
                 el.area * el.region_values(self.kappa_i**2, self.kappa_o**2))
 
-    def _fixed_jacobian(self, el):
-        J = np.tile(np.eye(2, dtype=complex), (3 * el.size, 1, 1))
-        pml = np.tile(self.mesh.band[el.tris] == BAND_PML, 3)
-        J[pml] = self._pml_jacobian(el.quad[pml])
-        return J.reshape(3, el.size, 2, 2)
+    def _fixed_factors(self, el):
+        """The identity, but (cos phi, sin phi, d, 0, s) in the absorbing
+        layer, whose Jacobian is d e_rho e_rho^T + s e_phi e_phi^T."""
+        cs, sn, g, m01, m11 = super()._fixed_factors(el)
+        g, m11 = g.astype(complex), m11.astype(complex)
+        pml = self.mesh.band[el.tris] == BAND_PML
+        qp = el.quad.reshape(3, -1, 2)[:, pml]
+        rho = np.hypot(qp[..., 0], qp[..., 1])
+        cs[:, pml], sn[:, pml] = qp[..., 0] / rho, qp[..., 1] / rho
+        g[:, pml], m11[:, pml] = self._pml_stretch(rho)
+        return cs, sn, g, m01, m11
 
-    def _pml_jacobian(self, qp):
-        """Jacobian d e_rho e_rho^T + s e_phi e_phi^T, (s, d) = (rho~/rho,
-        drho~/drho), of the complex stretch at qp; pulled back like DPhi.
+    def _pml_stretch(self, rho):
+        """(d, s) = (drho~/drho, rho~/rho) of the complex stretch rho -> rho~
+        at layer radii rho: the polar factors (g, m11) of its Jacobian.
 
         Quadratic damping ramp d(rho~)/d(rho) = 1 + 2i sigma0 kappa_o t tau^2
         with tau the relative depth: the smooth ramp keeps the discrete
         transition reflection small while the optical depth grows with the
         layer, giving one-way attenuation exp(-2 sigma0 (kappa_o t)^2 / 3).
         """
-        rho = np.hypot(qp[..., 0], qp[..., 1])
         t = self.pml_thickness
         tau = (rho - self.R) / t
         amp = 2.0 * self.pml_damping * self.kappa_o * t
-        d = 1.0 + 1j * amp * tau**2
-        s = (rho + 1j * amp * t * tau**3 / 3.0) / rho
-        e_rho = qp / rho[..., None]
-        e_phi = e_rho[..., ::-1] * np.array([-1.0, 1.0])
-        return (np.einsum("...,...d,...e->...de", d, e_rho, e_rho)
-                + np.einsum("...,...d,...e->...de", s, e_phi, e_phi))
+        return 1.0 + 1j * amp * tau**2, (rho + 1j * amp * t * tau**3 / 3.0) / rho
 
     def _load(self, el, cs, sn, g, m01, m11):
         # incident-wave source, supported where coefficients deviate from
@@ -550,8 +532,6 @@ def probe_kink(problem, y_a, y_b, x0, n_steps=41, kind="value"):
     location t_star predicted by the interface hyperplane (None when the
     segment does not cross it).
     """
-    from .geometry import kink_hyperplane
-
     y_a = np.asarray(y_a, dtype=float)
     y_b = np.asarray(y_b, dtype=float)
     ts = np.linspace(0.0, 1.0, n_steps)

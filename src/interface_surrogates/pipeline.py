@@ -46,6 +46,12 @@ class PipelineError(RuntimeError):
     pass
 
 
+def _is_number(value, annotation):
+    """value fits a config field annotated int or float; a bool fits neither."""
+    kind = numbers.Integral if annotation is int else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
     """One experiment cell; None fields resolve to problem-specific defaults."""
@@ -82,6 +88,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in ("elliptic", "helmholtz"):
             raise PipelineError(f"unknown problem kind {self.problem!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in (int, float) and not (value is None and f.default is None):
+                if not _is_number(value, f.type):
+                    what = "an integer" if f.type is int else "a number"
+                    raise PipelineError(f"{f.name} must be {what}, got {value!r}")
+                # a numpy scalar becomes the Python number, which json writes
+                setattr(self, f.name, value.item() if isinstance(value, np.generic) else value)
+        d = self.direction
+        if not (isinstance(d, (list, tuple, np.ndarray)) and len(d) == 2
+                and all(_is_number(v, float) for v in d) and any(d)):
+            raise PipelineError(f"direction must be two numbers, not both 0, got {d!r}")
         self.direction = tuple(float(v) for v in self.direction)
         for name, low in (("n_points", 1), ("n_train", 1), ("n_test", 1),
                           ("epochs", 1), ("restarts", 1), ("depth", 2)):
@@ -570,19 +588,20 @@ def _train_cell(cfg, suffix, top, pairs, out, workers, reuse):
 
 def _check_axes(axes):
     """axes as {name: list}; PipelineError unless there is at least one axis
-    and each is a numeric config field with a non-empty list of numbers."""
+    and each maps an int or float config field to a non-empty list of its kind."""
     if not isinstance(axes, dict) or not axes:
         raise PipelineError(f"a sweep needs at least one axis, got {axes!r}")
-    numeric = {f.name for f in dataclasses.fields(ExperimentConfig)
+    numeric = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)
                if f.type in (int, float)}
     for name, values in axes.items():
         if name not in numeric:
             raise PipelineError(f"unknown sweep axis {name!r}: an axis is a "
                                 f"numeric config field")
         if (not isinstance(values, (list, tuple)) or not values
-                or not all(isinstance(v, numbers.Real) for v in values)):
+                or not all(_is_number(v, numeric[name]) for v in values)):
+            what = "integers" if numeric[name] is int else "numbers"
             raise PipelineError(
-                f"sweep axis {name!r} needs a non-empty list of numbers, "
+                f"sweep axis {name!r} needs a non-empty list of {what}, "
                 f"got {values!r}")
     return {k: list(v) for k, v in axes.items()}
 

@@ -1,7 +1,8 @@
 """The fixed-pattern assembly reproduces the committed reference solves, and
 a sample evaluates the map's Jacobian on the band triangles only, with one
 interface-series evaluation for both the Jacobian and the mapped points.
-The polar-frame band kernel matches a Cartesian reference built from DPhi,
+The polar-frame kernel matches a Cartesian reference built from the
+Jacobian, on the band and on the fixed triangles with the absorbing layer,
 and the transmission field adds the incident wave only where it is read."""
 
 import dataclasses
@@ -13,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from interface_surrogates import geometry, pde, pipeline
-from interface_surrogates.geometry import BAND_INNER, BAND_OUTER
+from interface_surrogates.geometry import BAND_INNER, BAND_OUTER, BAND_PML
 from interface_surrogates.mesh import REGION_INNER
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference.json"
@@ -94,13 +95,25 @@ def test_jacobian_image_matches_map_forward(case):
 # ------------------------------------------------------- band kernel reference
 
 
-def _band_reference(problem, J, y):
-    """Band matrix (CSR over interior dofs) and load vector of problem from
-    its Jacobian J (t, 3, 2, 2) at the band quadrature points, through
+def _pullback(J):
+    """Pullback metric J^-1 J^-T detJ and detJ for Jacobians J of shape (..., 2, 2)."""
+    a, b = J[..., 0, 0], J[..., 0, 1]
+    c, d = J[..., 1, 0], J[..., 1, 1]
+    det = a * d - b * c
+    K = np.empty_like(J)
+    K[..., 0, 0] = (d * d + b * b) / det
+    K[..., 0, 1] = -(c * d + a * b) / det
+    K[..., 1, 0] = K[..., 0, 1]
+    K[..., 1, 1] = (a * a + c * c) / det
+    return K, det
+
+
+def _reference(problem, tris, J, y):
+    """Matrix (CSR over interior dofs) and load vector of problem's triangles
+    tris from the Jacobian J (t, 3, 2, 2) at their quadrature points, through
     _pullback and per-triangle einsums (y is None for the nominal matrix,
     which has no load)."""
     mesh, cache = problem.mesh, problem.cache
-    tris = cache.band.tris
     v = mesh.vertices[mesh.triangles[tris]]
     area = mesh.areas()[tris]
     grads = np.empty((tris.size, 3, 2))
@@ -110,7 +123,7 @@ def _band_reference(problem, J, y):
         grads[:, i, 1] = (v[:, k, 0] - v[:, j, 0]) / (2 * area)
     inner = mesh.region[tris] == REGION_INNER
     alpha = np.where(inner, problem.alpha_i, 1.0)
-    K, det = pde._pullback(J)
+    K, det = _pullback(J)
     Kbar = np.einsum("q,tqde->tde", pde._W2, K)
     S = np.einsum("tid,tde,tje->tij", grads, (alpha * area)[:, None, None] * Kbar, grads)
     helmholtz = isinstance(problem, pde.HelmholtzProblem)
@@ -165,7 +178,8 @@ def test_band_kernel_matches_cartesian_reference(case):
     for k in range(3):
         y = pipeline.sample_parameters(5, k, ws.config.d)
         J = pde.map_jacobian(problem.dm, y, cache.band.quad, cache.band_tags)
-        ref_A, ref_b = _band_reference(problem, J.reshape(3, t, 2, 2).swapaxes(0, 1), y)
+        ref_A, ref_b = _reference(problem, cache.band.tris,
+                                  J.reshape(3, t, 2, 2).swapaxes(0, 1), y)
         A, b = problem.assemble(y)
         _assert_close(A - _fixed_matrix(problem), ref_A)
         _assert_close(b - problem._fixed[1], ref_b)
@@ -179,8 +193,41 @@ def test_nominal_band_values_match_identity_reference(case, monkeypatch):
                         lambda A, rings: factored.append(A) or "factor")
     assert fresh._nominal_factor() == "factor"
     J = np.broadcast_to(np.eye(2), (fresh.cache.band.size, 3, 2, 2))
-    ref_A, _ = _band_reference(fresh, J, None)
+    ref_A, _ = _reference(fresh, fresh.cache.band.tris, J, None)
     _assert_close(factored[0] - _fixed_matrix(fresh), ref_A)
+
+
+def test_fixed_values_match_cartesian_reference(case):
+    # the core, the far field and the absorbing layer, summed once at set-up;
+    # the layer's Jacobian is d e_rho e_rho^T + s e_phi e_phi^T
+    _, ws = case
+    problem, mesh = ws.problem, ws.mesh
+    tris = np.nonzero(~np.isin(mesh.band, (BAND_INNER, BAND_OUTER)))[0]
+    quad = np.einsum("qi,tid->tqd", pde._Q2, mesh.vertices[mesh.triangles[tris]])
+    J = np.broadcast_to(np.eye(2), (tris.size, 3, 2, 2))
+    pml = mesh.band[tris] == BAND_PML
+    if pml.any():
+        J = J.astype(complex)
+        qp = quad[pml]
+        rho = np.hypot(qp[..., 0], qp[..., 1])
+        t = problem.pml_thickness
+        tau = (rho - problem.R) / t
+        amp = 2.0 * problem.pml_damping * problem.kappa_o * t
+        d = 1.0 + 1j * amp * tau**2
+        s = (rho + 1j * amp * t * tau**3 / 3.0) / rho
+        e_rho = qp / rho[..., None]
+        e_phi = e_rho[..., ::-1] * np.array([-1.0, 1.0])
+        J[pml] = (np.einsum("...,...d,...e->...de", d, e_rho, e_rho)
+                  + np.einsum("...,...d,...e->...de", s, e_phi, e_phi))
+    assert pml.any() == isinstance(problem, pde.HelmholtzProblem)
+    ref_A, ref_b = _reference(problem, tris, J, np.zeros(ws.config.d))
+    _assert_close(_fixed_matrix(problem), ref_A)
+    _assert_close(problem._fixed[1], ref_b)
+    # the map moves no fixed quadrature point, so the load is the one of
+    # identity factors, whatever the layer's stretch
+    el = pde._FemCache(mesh).take_fixed()
+    identity = [np.full((3, el.size), f) for f in (1.0, 0.0, 1.0, 0.0, 1.0)]
+    np.testing.assert_array_equal(problem._fixed[1], problem._load(el, *identity))
 
 
 def test_elliptic_assembly_forms_no_mass_term(monkeypatch):

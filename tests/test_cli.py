@@ -191,7 +191,8 @@ def test_sweep_config_missing_axes(tmp_path, capsys):
     assert "axes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("axes", [{}, {"p": 3}, {"direction": [[1, 0], [0, 1]]}])
+@pytest.mark.parametrize("axes", [{}, {"p": 3}, {"direction": [[1, 0], [0, 1]]},
+                                  {"d": [8.0]}, {"n_points": [2.0]}])
 def test_sweep_bad_axes_exit_2(tmp_path, capsys, axes):
     spec = tmp_path / "sweep.json"
     spec.write_text(json.dumps({"base": tiny_dict(tmp_path / "out"), "axes": axes}))
@@ -215,6 +216,16 @@ def test_untrainable_config_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, restarts=0)
     assert cli.main(["train", "--config", str(path)]) == 2
     assert "restarts" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d", "8"), ("n_points", "4"), ("alpha_i", None), ("d", 8.0), ("seed", True)])
+def test_gen_data_mistyped_number_exit_2(tmp_path, capsys, field, value):
+    # rejected with the field's name when the config is read, no traceback
+    path = write_config(tmp_path, **{field: value})
+    assert cli.main(["gen-data", "--config", str(path), "--n", "1"]) == 2
+    assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

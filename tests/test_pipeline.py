@@ -82,6 +82,28 @@ def test_config_rejects_untrainable_values(field, value):
         dataclasses.replace(tiny_config(), **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d", "8"), ("d", 8.0), ("n_points", "4"), ("n_points", 2.0), ("seed", True),
+    ("epochs", 10.0), ("alpha_i", None), ("p", "3"), ("lr", False), ("R", None),
+    ("direction", (1.0,)), ("direction", ("1", 0.0)), ("direction", 1.0),
+    ("direction", (0, 0.0))])
+def test_config_rejects_mistyped_numbers(field, value):
+    with pytest.raises(pl.PipelineError, match=field):
+        pl.ExperimentConfig.from_dict({field: value})
+    with pytest.raises(pl.PipelineError, match=field):
+        dataclasses.replace(tiny_config(), **{field: value})
+
+
+def test_config_accepts_numbers_of_any_type():
+    # ints on float fields, numpy scalars, and None where the default is None
+    cfg = pl.ExperimentConfig(d=np.int64(4), p=2, alpha_i=np.float32(5.0), r0=None,
+                              kappa_o=None, direction=[0, 1])
+    assert cfg.direction == (0.0, 1.0) and cfg.p == 2
+    # numpy scalars are stored as Python numbers, so the config hashes
+    assert type(cfg.d) is int and type(cfg.alpha_i) is float
+    assert cfg.data_hash() == pl.ExperimentConfig(d=4, p=2, alpha_i=5.0).data_hash()
+
+
 def test_helmholtz_rejects_cg_tol():
     # Helmholtz solves stop at pde.COCG_TOL, so a cg_tol there would be ignored
     with pytest.raises(pl.PipelineError, match="cg_tol"):
@@ -603,7 +625,9 @@ def test_sweep_over_training_field_shares_one_dataset_pair(tmp_path, monkeypatch
     ({}, "at least one axis"), ([1.0, 2.0], "at least one axis"),
     ({"p": 3}, "'p'"), ({"p": []}, "'p'"),
     ({"direction": [[1, 0], [0, 1]]}, "'direction'"),
-    ({"direction": [1.0]}, "'direction'"), ({"colour": [1]}, "'colour'")])
+    ({"direction": [1.0]}, "'direction'"), ({"colour": [1]}, "'colour'"),
+    ({"d": [8.0]}, "'d'"), ({"n_points": [2, 2.0]}, "'n_points'"),
+    ({"p": [True]}, "'p'")])
 def test_sweep_rejects_bad_axes_before_any_cell(tmp_path, monkeypatch, axes, named):
     def refuse(*args, **kwargs):
         raise AssertionError("no cell may run")
