@@ -8,12 +8,14 @@ worker count, and persisted as CSV matrices plus a JSON metadata sidecar
 keyed by a hash of the data-affecting part of the config.
 """
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import itertools
 import json
 import numbers
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -339,25 +341,19 @@ class Workspace:
         return q
 
 
-_WORKER_WS = None
-
-
-def _init_worker(config):
-    global _WORKER_WS
-    _WORKER_WS = Workspace(config)
-
-
-def _solve_sample(ws, seed, i):
-    y = sample_parameters(seed, i, ws.config.d)
-    try:
-        return y, ws.solve(y)
-    except SolverError as exc:
-        raise PipelineError(f"sample {i} failed: {exc}; y = {y.tolist()}") from exc
-
-
-def _solve_indexed(args):
-    i, seed = args
-    return (i, *_solve_sample(_WORKER_WS, seed, i))
+def _solve_block(config, seed, start, stop, workspace=None):
+    """Samples start ... stop-1 of seed's stream and their QoIs, solved on
+    workspace, or on a fresh Workspace of config when none is given."""
+    ws = Workspace(config) if workspace is None else workspace
+    samples = np.empty((stop - start, config.d))
+    qoi = np.empty((stop - start, config.n_points))
+    for k, i in enumerate(range(start, stop)):
+        y = samples[k] = sample_parameters(seed, i, config.d)
+        try:
+            qoi[k] = ws.solve(y)
+        except SolverError as exc:
+            raise PipelineError(f"sample {i} failed: {exc}; y = {y.tolist()}") from exc
+    return samples, qoi
 
 
 # ----------------------------------------------------------------- datasets
@@ -390,9 +386,11 @@ class Dataset:
 def gen_data(config, n=None, seed=None, workers=1, workspace=None):
     """Generate n (y, q) pairs for config; see sample_parameters for seeding.
 
-    A sequential run (workers <= 1) solves on workspace, a Workspace built
-    from config's data signature, when one is given, and on a fresh one
-    otherwise; worker processes build their own.
+    The samples are cut into min(max(workers, 1), n) contiguous blocks.  A
+    pool of one process per block after the first solves blocks 1..., each
+    on a Workspace of its own; the parent solves block 0 on workspace, a
+    Workspace of config's data signature, or on a fresh one when none is
+    given.  Each sample is solved alone, so no result depends on workers.
     """
     n = config.n_train if n is None else int(n)
     seed = config.seed if seed is None else int(seed)
@@ -401,23 +399,14 @@ def gen_data(config, n=None, seed=None, workers=1, workspace=None):
     if workspace is not None and workspace.config.data_hash() != config.data_hash():
         raise PipelineError("workspace was built for a different data signature")
     t0 = time.time()
-    samples = np.empty((n, config.d))
-    qoi = np.empty((n, config.n_points))
-    if workers <= 1:
+    k = min(max(workers, 1), n)
+    edges = [n * j // k for j in range(k + 1)]
+    with ProcessPoolExecutor(k - 1) if k > 1 else contextlib.nullcontext() as pool:
+        rest = [pool.submit(_solve_block, config, seed, a, b)
+                for a, b in zip(edges[1:-1], edges[2:])]
         ws = Workspace(config) if workspace is None else workspace
-        mesh = ws.mesh
-        for i in range(n):
-            samples[i], qoi[i] = _solve_sample(ws, seed, i)
-    else:
-        mesh = _nominal_mesh(config.data_signature())
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(config,)) as pool:
-            chunk = max(1, n // (4 * workers))
-            for i, y, q in pool.map(_solve_indexed,
-                                    [(i, seed) for i in range(n)],
-                                    chunksize=chunk):
-                samples[i] = y
-                qoi[i] = q
+        blocks = [_solve_block(config, seed, 0, edges[1], ws)] + [f.result() for f in rest]
+    samples, qoi = (np.concatenate(parts) for parts in zip(*blocks))
     meta = {
         "config": config.to_dict(),
         "config_hash": config.data_hash(),
@@ -425,8 +414,8 @@ def gen_data(config, n=None, seed=None, workers=1, workspace=None):
         "n_samples": n,
         "d": config.d,
         "n_points": config.n_points,
-        "mesh_checksum": mesh_checksum(mesh),
-        "solver": {"method": f"nominal-{nominal_method(mesh.rings)}-cocg",
+        "mesh_checksum": mesh_checksum(ws.mesh),
+        "solver": {"method": f"nominal-{nominal_method(ws.mesh.rings)}-cocg",
                    "tol": config.solver_tol()},
         "wall_time": time.time() - t0,
         "created": datetime.now(timezone.utc).isoformat(),
@@ -448,13 +437,28 @@ def _paths(base):
 
 
 def save_dataset(ds, base):
-    """Write dataset files under the path prefix base; returns the paths."""
+    """Write dataset files under the path prefix base; returns the paths.
+
+    The files go to temporaries; then the old meta is removed, the CSVs are
+    renamed into place and the meta last, so an interrupted write leaves the
+    old set or one without meta, which load_dataset reports as no dataset.
+    """
     paths = _paths(base)
     paths["meta"].parent.mkdir(parents=True, exist_ok=True)
-    for key in ("samples", "qoi"):
-        with surrogate.atomic_open(paths[key]) as fh:
-            np.savetxt(fh, getattr(ds, key), fmt="%.17g", delimiter=",")
-    _write_json(paths["meta"], ds.meta)
+    tmps = {key: p.with_name(p.name + ".tmp") for key, p in paths.items()}
+    try:
+        for key in ("samples", "qoi"):
+            with open(tmps[key], "w") as fh:
+                np.savetxt(fh, getattr(ds, key), fmt="%.17g", delimiter=",")
+        with open(tmps["meta"], "w") as fh:
+            json.dump(ds.meta, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        paths["meta"].unlink(missing_ok=True)
+        for key in ("samples", "qoi", "meta"):
+            os.replace(tmps[key], paths[key])
+    finally:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
     return paths
 
 
@@ -485,8 +489,8 @@ def split_stream(config, split):
 
 
 def _ensure_dataset(config, split, out_dir, workers, reuse, stem, workspace):
-    """Load or generate one split; workspace() gives the Workspace a
-    sequential generation solves on."""
+    """Load or generate one split; workspace() gives the Workspace the
+    generating process solves on."""
     n, seed = split_stream(config, split)
     base = Path(out_dir) / f"{stem}-{split}"
     if reuse and all(p.exists() for p in _paths(base).values()):
@@ -494,8 +498,7 @@ def _ensure_dataset(config, split, out_dir, workers, reuse, stem, workspace):
         # the file name holds no seed, so a stored stream may be another one
         if ds.n >= n and ds.meta["seed"] == seed:
             return Dataset(ds.samples[:n], ds.qoi[:n], ds.meta)
-    ds = gen_data(config, n, seed, workers,
-                  workspace=workspace() if workers <= 1 else None)
+    ds = gen_data(config, n, seed, workers, workspace())
     save_dataset(ds, base)
     return ds
 
@@ -587,10 +590,12 @@ def _train_cell(cfg, suffix, top, pairs, out, workers, reuse):
 
 
 def _check_axes(axes):
-    """axes as {name: list}; PipelineError unless there is at least one axis
+    """axes as {name: list}; PipelineError unless there are one or two axes
     and each maps an int or float config field to a non-empty list of its kind."""
     if not isinstance(axes, dict) or not axes:
         raise PipelineError(f"a sweep needs at least one axis, got {axes!r}")
+    if len(axes) > 2:
+        raise PipelineError(f"a sweep has at most two axes, got {list(axes)}")
     numeric = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)
                if f.type in (int, float)}
     for name, values in axes.items():
@@ -632,8 +637,9 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
           name="sweep"):
     """Run one experiment per axis combination and emit table/figure files.
 
-    axes maps numeric config fields to non-empty lists of numbers; anything
-    else raises PipelineError before any cell runs.  kind: "table" (CSV +
+    axes maps one or two numeric config fields to non-empty lists of
+    numbers; anything else, or any other kind, raises PipelineError before
+    any cell runs or out_dir is created.  kind: "table" (CSV +
     Markdown, rows = first axis, columns = second), "figure" (series CSV +
     fit JSON + SVG, x = last axis), or "geometry" (no PDE: the cell value is
     the maximal shape variation in percent).
@@ -649,10 +655,13 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
     are kept in NAME.cells.json, rewritten after each cell.
     """
     axes = _check_axes(axes)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if kind is None:
         kind = "figure" if len(axes) == 1 else "table"
+    if kind not in ("table", "figure", "geometry"):
+        raise PipelineError(f"unknown sweep kind {kind!r}; "
+                            f"one of 'table', 'figure', 'geometry'")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     top = max(axes["n_points"]) if "n_points" in axes else base_config.n_points
     pairs = {}
     cells = []
@@ -690,11 +699,7 @@ def _cell_lookup(cells):
 
 
 def _emit_table(out, name, axes, cells):
-    names = list(axes)
-    if len(names) == 1:
-        rows, cols = names[0], None
-    else:
-        rows, cols = names[0], names[1]
+    rows, cols = (list(axes) + [None])[:2]
     lookup = _cell_lookup(cells)
     col_vals = axes[cols] if cols else [None]
     header = [rows] + [f"{cols}={v:g}" if cols else "value" for v in col_vals]

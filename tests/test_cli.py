@@ -202,6 +202,17 @@ def test_sweep_bad_axes_exit_2(tmp_path, capsys, axes):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_unknown_kind_exit_2(tmp_path, capsys):
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"base": tiny_dict(tmp_path / "out"),
+                                "axes": {"p": [1.0, 3.0], "d": [4, 6]},
+                                "kind": "tabel"}))
+    assert cli.main(["sweep", "--config", str(spec),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    assert "'tabel'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exit_2(tmp_path, capsys):
     assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()

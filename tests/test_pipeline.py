@@ -290,6 +290,21 @@ def test_identity_sample_matches_plain_solve():
     np.testing.assert_allclose(q, ref, rtol=1e-9)
 
 
+def test_table2_alpha1000_matches_direct_reference():
+    # direct SuperLU solves of the pipeline's own A(y), b(y); the tolerance is
+    # a multiple of the spread between two orderings, the rounding floor
+    # (tests/data/make_table2_alpha1000_reference.py writes the file)
+    ref = json.loads((Path(__file__).parent / "data"
+                      / "table2_alpha1000_reference.json").read_text())
+    cfg = pl.preset(ref["preset"])
+    assert cfg.data_hash() == ref["data_hash"]
+    assert ref["rtol"] == ref["tol_factor"] * ref["floor"]
+    ws = pl.Workspace(cfg)
+    for i, q in zip(ref["samples"], ref["qoi"]):
+        y = pl.sample_parameters(ref["seed"], i, cfg.d)
+        np.testing.assert_allclose(ws.solve(y), q, rtol=ref["rtol"], atol=0)
+
+
 def test_gen_data_shapes_and_metadata():
     cfg = tiny_config()
     ds = pl.gen_data(cfg, 5, cfg.seed)
@@ -303,12 +318,79 @@ def test_gen_data_shapes_and_metadata():
                                   pl.sample_parameters(cfg.seed, 2, cfg.d))
 
 
+def _stamps_dropped(meta):
+    return {k: v for k, v in meta.items() if k not in ("wall_time", "created")}
+
+
 def test_gen_data_worker_invariance():
+    helmholtz = pl.ExperimentConfig(problem="helmholtz", d=4, n_points=2,
+                                    depth=3, seed=1)
+    for cfg in (tiny_config(), helmholtz):
+        single, *multi = (pl.gen_data(cfg, 7, 11, workers=w) for w in (1, 2, 3))
+        for ds in multi:
+            np.testing.assert_array_equal(single.samples, ds.samples)
+            np.testing.assert_array_equal(single.qoi, ds.qoi)
+            assert _stamps_dropped(ds.meta) == _stamps_dropped(single.meta)
+
+
+def test_gen_data_reports_failed_sample_of_a_worker_block(monkeypatch):
+    # n = 4 over two processes: the parent solves samples 0-1, a worker 2-3;
+    # the patched method reaches the worker because the pool forks
     cfg = tiny_config()
-    single = pl.gen_data(cfg, 6, 11, workers=1)
-    multi = pl.gen_data(cfg, 6, 11, workers=3)
-    np.testing.assert_array_equal(single.samples, multi.samples)
-    np.testing.assert_array_equal(single.qoi, multi.qoi)
+    bad = pl.sample_parameters(5, 3, cfg.d)
+    solve = pl.Workspace.solve
+
+    def failing(self, y):
+        if np.array_equal(y, bad):
+            raise SolverError("injected failure", y)
+        return solve(self, y)
+
+    monkeypatch.setattr(pl.Workspace, "solve", failing)
+    with pytest.raises(pl.PipelineError, match="sample 3 failed: injected") as err:
+        pl.gen_data(cfg, 4, 5, workers=2)
+    assert str(bad.tolist()) in str(err.value)
+
+
+def _count_builds(monkeypatch):
+    """Record, in this process, every Workspace, mesh and process pool built."""
+    built = {"workspace": 0, "mesh": 0, "pools": []}
+    init, pool = pl.Workspace.__init__, pl.ProcessPoolExecutor
+
+    def counting_init(self, config):
+        built["workspace"] += 1
+        init(self, config)
+
+    def counting(build):
+        def counted(*args):
+            built["mesh"] += 1
+            return build(*args)
+        return counted
+
+    def recording_pool(max_workers):
+        built["pools"].append(max_workers)
+        return pool(max_workers)
+
+    monkeypatch.setattr(pl.Workspace, "__init__", counting_init)
+    for name in ("build_square_mesh", "build_disk_mesh"):
+        monkeypatch.setattr(pl, name, counting(getattr(pl, name)))
+    monkeypatch.setattr(pl, "ProcessPoolExecutor", recording_pool)
+    return built
+
+
+def test_gen_data_on_given_workspace_builds_nothing(monkeypatch):
+    cfg = tiny_config()
+    ws = pl.Workspace(cfg)
+    built = _count_builds(monkeypatch)
+    ds = pl.gen_data(cfg, 3, 1, workers=1, workspace=ws)
+    assert built == {"workspace": 0, "mesh": 0, "pools": []}
+    assert ds.meta["mesh_checksum"] == pl.mesh_checksum(ws.mesh)
+
+
+def test_gen_data_parent_builds_one_workspace_and_no_other_mesh(monkeypatch):
+    built = _count_builds(monkeypatch)
+    pl.gen_data(tiny_config(), 3, 1, workers=3)
+    # the two worker processes build theirs out of this process's sight
+    assert built == {"workspace": 1, "mesh": 1, "pools": [2]}
 
 
 def test_gen_data_helmholtz_sanity():
@@ -621,6 +703,10 @@ def test_sweep_over_training_field_shares_one_dataset_pair(tmp_path, monkeypatch
         assert cell["value"] == own["test_error"]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("no cell may run")
+
+
 @pytest.mark.parametrize("axes, named", [
     ({}, "at least one axis"), ([1.0, 2.0], "at least one axis"),
     ({"p": 3}, "'p'"), ({"p": []}, "'p'"),
@@ -629,12 +715,22 @@ def test_sweep_over_training_field_shares_one_dataset_pair(tmp_path, monkeypatch
     ({"d": [8.0]}, "'d'"), ({"n_points": [2, 2.0]}, "'n_points'"),
     ({"p": [True]}, "'p'")])
 def test_sweep_rejects_bad_axes_before_any_cell(tmp_path, monkeypatch, axes, named):
-    def refuse(*args, **kwargs):
-        raise AssertionError("no cell may run")
-
-    monkeypatch.setattr(pl, "gen_data", refuse)
+    monkeypatch.setattr(pl, "gen_data", _refuse)
     with pytest.raises(pl.PipelineError, match=named):
         pl.sweep(tiny_config(), axes, tmp_path / "out", name="bad")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("axes, kind, named", [
+    ({"p": [1.0, 3.0], "d": [4, 6]}, "tabel", "'tabel'"),
+    ({"p": [1.0]}, "svg", "'svg'"),
+    ({"p": [1.0], "d": [4], "alpha_i": [10.0]}, "table", "at most two axes"),
+    ({"p": [1.0], "d": [4], "alpha_i": [10.0]}, None, "at most two axes")])
+def test_sweep_rejects_bad_kind_or_third_axis_before_any_cell(tmp_path, monkeypatch,
+                                                              axes, kind, named):
+    monkeypatch.setattr(pl, "gen_data", _refuse)
+    with pytest.raises(pl.PipelineError, match=named):
+        pl.sweep(tiny_config(), axes, tmp_path / "out", kind=kind, name="bad")
     assert not (tmp_path / "out").exists()
 
 
@@ -665,6 +761,41 @@ def test_sweep_outputs_survive_interrupted_write(tmp_path, monkeypatch, emit,
     monkeypatch.undo()
     assert (tmp_path / interrupted).read_bytes() == before[interrupted]
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(before)
+
+
+@pytest.mark.parametrize("step", ["qoi write", "meta write", "qoi rename"])
+def test_interrupted_dataset_rewrite_never_pairs_two_streams(tmp_path, monkeypatch,
+                                                             step):
+    cfg = tiny_config(seed=1)
+    base = tmp_path / f"{cfg.tag()}-train"
+    paths = pl.save_dataset(pl.gen_data(cfg, cfg.n_train, 1), base)
+    before = {k: p.read_bytes() for k, p in paths.items()}
+    other = pl.gen_data(cfg, cfg.n_train, 2)
+    owner, name, k = {"qoi write": (np, "savetxt", 1),
+                      "meta write": (pl.json, "dump", 0),
+                      "qoi rename": (pl.os, "replace", 1)}[step]
+    real, calls = getattr(owner, name), []
+
+    def fail_at_call_k(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == k + 1:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, fail_at_call_k)
+    with pytest.raises(KeyboardInterrupt):
+        pl.save_dataset(other, base)
+    monkeypatch.undo()
+    assert not list(tmp_path.glob("*.tmp"))
+    if step == "qoi rename":
+        # the old meta is gone: no dataset, rather than a mixed one
+        with pytest.raises(pl.PipelineError, match="no dataset"):
+            pl.load_dataset(base, cfg)
+    else:
+        assert {k: p.read_bytes() for k, p in paths.items()} == before
+    reused = pl.run_experiment(cfg, out_dir=tmp_path, reuse=True)
+    fresh = pl.run_experiment(cfg, out_dir=tmp_path / "fresh")
+    assert reused["test_error"] == fresh["test_error"]
 
 
 def test_dataset_survives_interrupted_write(tmp_path, monkeypatch):
