@@ -8,7 +8,10 @@ disk), so no triangle straddles a coefficient discontinuity and every
 triangle carries an unambiguous chi-branch tag.  The square domain adds a
 few template rings that interpolate between the outermost circle and the
 square boundary.  A built mesh records this layout (RingLayout), which
-check_mesh verifies and the nominal solve of linalg reads.
+check_mesh verifies, the nominal solve of linalg reads and point location
+uses: a point's azimuth gives its sector and the ring chords it lies beyond
+give its strip, so Mesh.locate tests a few triangles per point and keeps no
+index.
 """
 
 from typing import NamedTuple
@@ -28,14 +31,6 @@ _REGION_OF_BAND = np.array([REGION_INNER, REGION_INNER, REGION_OUTER,
 # mesh size grows away from the interface band by this fraction per unit
 # distance; 0.3 keeps the ratio of neighbouring ring gaps near 1.3
 _GRADE = 0.3
-
-# locate-grid cell widths to try, as quantiles of the triangle extents, and
-# the bucket entries per triangle the chosen width may make at most
-_GRID_QUANTILES = (0.5, 0.75, 0.9, 1.0)
-_GRID_ENTRIES = 4
-# widening of each triangle's box, relative to its extent: a point within
-# snap tolerance tol of a triangle lies within 3 tol of its box
-_GRID_PAD = 1e-6
 
 
 class MeshError(ValueError):
@@ -73,7 +68,6 @@ class Mesh:
         self.boundary = np.ascontiguousarray(np.sort(boundary), dtype=np.uint32)
         self.circles = tuple(float(c) for c in circles)
         self.rings = rings
-        self._grid = None
 
     @property
     def n_vertices(self):
@@ -96,95 +90,71 @@ class Mesh:
 
     # -- point location ---------------------------------------------------
 
-    def _build_grid(self):
-        """Uniform grid of square cells for point location.  The cell width
-        is the smallest of a few quantiles of the triangle extents whose
-        buckets hold at most _GRID_ENTRIES entries per triangle, else the
-        largest extent, at which a triangle spans at most 2 x 2 cells.  A
-        graded mesh thus gets cells near its typical triangle size rather
-        than its largest.  Each cell's triangles form a CSR bucket: the ids
-        of cell c = i * ny + j are members[offsets[c]:offsets[c + 1]],
-        ascending."""
-        # corners first: reductions over a leading axis of 3 are fast (take
-        # gathers rows several times faster than fancy indexing)
-        v = self.vertices.take(self.triangles.T, axis=0)
-        lo, hi = v.min(axis=0), v.max(axis=0)
-        extent = np.maximum(*(hi - lo).T)
-        # a point within the snap tolerance of a triangle lies in its padded
-        # box, so every triangle passing locate's test is among the candidates
-        lo -= _GRID_PAD * extent[:, None]
-        hi += _GRID_PAD * extent[:, None]
-        box_lo = self.vertices.min(axis=0)
-        span = self.vertices.max(axis=0) - box_lo
-        for cell in np.quantile(extent, _GRID_QUANTILES) * (1 + 2 * _GRID_PAD):
-            cell = max(cell, 1e-12)
-            nx, ny = np.maximum(1, np.ceil(span / cell)).astype(int)
-            il, jl = np.clip(((lo - box_lo) / cell).astype(int), 0, (nx - 1, ny - 1)).T
-            ih, jh = np.clip(((hi - box_lo) / cell).astype(int), 0, (nx - 1, ny - 1)).T
-            wj = jh - jl + 1
-            count = (ih - il + 1) * wj
-            if count.sum() <= _GRID_ENTRIES * self.n_triangles:
-                break
-        # one entry per (triangle, covered cell), triangles in ascending order
-        tri = np.repeat(np.arange(self.n_triangles), count)
-        k = _ranks(count)
-        cells = (il[tri] + k // wj[tri]) * ny + jl[tri] + k % wj[tri]
-        # a stable sort keeps each bucket's ids ascending; cell ids that fit
-        # 16 bits are radix-sorted
-        key = cells.astype(np.min_scalar_type(nx * ny))
-        members = tri[np.argsort(key, kind="stable")]
-        offsets = np.zeros(nx * ny + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cells, minlength=nx * ny), out=offsets[1:])
-        self._grid = (box_lo, cell, nx, ny, offsets, members)
-
     def locate(self, points, tol=1e-8):
         """Return (triangle index, barycentric coords) for each query point.
 
-        Ties on shared edges resolve to the lowest triangle index.  Points
-        outside the domain beyond the snap tolerance raise MeshError.
+        Read off the ring layout: a point's sector i comes from its azimuth,
+        and its strip k (0 the fan, k > 0 between rings k - 1 and k) is the
+        number of ring chords (k, i) -> (k, i + 1) it lies beyond.  The
+        barycentric test runs on the triangles of strips k - 1 ... k + 1 by
+        sectors i - 1 ... i + 1.  Ties on shared edges resolve to the lowest
+        triangle index.  Non-finite points, points outside the domain beyond
+        the snap tolerance and meshes without a ring layout raise MeshError.
         """
-        if self._grid is None:
-            self._build_grid()
-        box_lo, cell, nx, ny, offsets, members = self._grid
+        if self.rings is None:
+            raise MeshError("point location needs a mesh built from rings")
+        m, count, _ = self.rings
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        # fmax/fmin send a NaN coordinate to cell 0, where no triangle passes
-        ij = np.fmin(np.fmax((points - box_lo) / cell, 0), (nx - 1, ny - 1)).astype(int)
-        cells = ij[:, 0] * ny + ij[:, 1]
-        first = offsets[cells]
-        count = offsets[cells + 1] - first
-        # every (point, candidate triangle) pair, grouped by point in bucket order
-        owner = np.repeat(np.arange(points.shape[0]), count)
-        t = members[np.repeat(first, count) + _ranks(count)]
-        corners = self.triangles.take(t, axis=0)
-        a, b, c = self.vertices.take(corners, axis=0).transpose(1, 2, 0)
-        px, py = points.take(owner, axis=0).T
-        det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-        l1 = ((px - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (py - a[1])) / det
-        l2 = ((b[0] - a[0]) * (py - a[1]) - (px - a[0]) * (b[1] - a[1])) / det
-        l0 = 1.0 - l1 - l2
-        hit = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))
-        # the first passing candidate of each point has the lowest index
-        hit = hit[np.unique(owner[hit], return_index=True)[1]]
-        found = np.zeros(points.shape[0], dtype=bool)
-        found[owner[hit]] = True
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            raise MeshError(f"point {points[np.argmin(finite)]} is not finite")
+        px, py = points.T
+        sector = np.floor(np.arctan2(py, px) * (m / (2 * np.pi))).astype(np.int64) % m
+        # the chord of every ring across each point's sector, (count, n, 2)
+        ring = self.vertices[1:].reshape(count, m, 2)
+        a = ring.take(sector, axis=1)
+        b = ring.take((sector + 1) % m, axis=1)
+        beyond = ((b[..., 0] - a[..., 0]) * (py - a[..., 1])
+                  < (b[..., 1] - a[..., 1]) * (px - a[..., 0]))
+        # candidates (n, 3, 3, 2): strips by sectors by the two triangles of
+        # a strip; strip -1 counts as the fan, whose one triangle per sector
+        # is listed twice, and strips past the boundary as the last strip
+        shift = np.array([-1, 0, 1])
+        s = np.minimum(beyond.sum(axis=0)[:, None] + shift, count - 1)[:, :, None, None]
+        i = ((sector[:, None] + shift) % m)[:, None, :, None]
+        t = np.where(s <= 0, i, (2 * s - 1) * m + 2 * i + np.array([0, 1]))
+        found, tri, lams = self._lowest_hit(points, t.reshape(len(points), 18), tol)
+        # a fan triangle two or more sectors away passes only within
+        # 2 tol |ring 0| of the centre; there every fan triangle is a candidate
+        near = np.flatnonzero(np.hypot(px, py) <= 4 * tol * np.hypot(*ring[0].T).max())
+        if near.size:
+            found[near], tri[near], lams[near] = self._lowest_hit(
+                points[near], np.broadcast_to(np.arange(m), (near.size, m)), tol)
         if not found.all():
-            k = np.argmin(found)
-            if count[k] == 0:
-                raise MeshError(f"point {points[k]} outside the mesh")
-            raise MeshError(
-                f"point {points[k]} outside the mesh (snap tolerance {tol})")
-        return t[hit], np.stack([l0[hit], l1[hit], l2[hit]], axis=1)
+            raise MeshError(f"point {points[np.argmin(found)]} outside the mesh "
+                            f"(snap tolerance {tol})")
+        return tri, lams
+
+    def _lowest_hit(self, points, t, tol):
+        """For candidate triangles t (n, c) of n points: whether one passes
+        the barycentric test, the lowest passing index and its coords."""
+        corners = self.triangles.take(t, axis=0)
+        a, b, c = np.moveaxis(self.vertices.take(corners, axis=0), (2, 3), (0, 1))
+        ux, uy, vx, vy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
+        qx, qy = points[:, 0, None] - a[0], points[:, 1, None] - a[1]
+        det = ux * vy - vx * uy
+        l1 = (qx * vy - vx * qy) / det
+        l2 = (ux * qy - qx * uy) / det
+        l0 = 1.0 - l1 - l2
+        hit = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
+        k = np.arange(len(t)), np.where(hit, t, self.n_triangles).argmin(axis=1)
+        return hit.any(axis=1), t[k], np.stack([l0[k], l1[k], l2[k]], axis=1)
 
     def interpolate(self, nodal, points):
         """P1 interpolation of nodal values at the given points."""
         tri_idx, lams = self.locate(points)
         vals = np.asarray(nodal)[self.triangles[tri_idx]]
         return (vals * lams).sum(axis=1)
-
-
-def _ranks(count):
-    """0, 1, ..., count[k] - 1 for each k, concatenated."""
-    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
 
 
 def _size_field(rho, r0, h_interface, h_far, pml_start=None, pml_h=None):

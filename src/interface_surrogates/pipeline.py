@@ -591,7 +591,8 @@ def _train_cell(cfg, suffix, top, pairs, out, workers, reuse):
 
 def _check_axes(axes):
     """axes as {name: list}; PipelineError unless there are one or two axes
-    and each maps an int or float config field to a non-empty list of its kind."""
+    and each maps an int or float config field to a non-empty list of its
+    kind without a repeated value."""
     if not isinstance(axes, dict) or not axes:
         raise PipelineError(f"a sweep needs at least one axis, got {axes!r}")
     if len(axes) > 2:
@@ -608,6 +609,9 @@ def _check_axes(axes):
             raise PipelineError(
                 f"sweep axis {name!r} needs a non-empty list of {what}, "
                 f"got {values!r}")
+        if len(set(values)) < len(values):
+            # two cells would train into the same files
+            raise PipelineError(f"sweep axis {name!r} repeats a value: {values!r}")
     return {k: list(v) for k, v in axes.items()}
 
 

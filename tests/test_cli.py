@@ -192,7 +192,7 @@ def test_sweep_config_missing_axes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("axes", [{}, {"p": 3}, {"direction": [[1, 0], [0, 1]]},
-                                  {"d": [8.0]}, {"n_points": [2.0]}])
+                                  {"d": [8.0]}, {"n_points": [2.0]}, {"d": [4, 4]}])
 def test_sweep_bad_axes_exit_2(tmp_path, capsys, axes):
     spec = tmp_path / "sweep.json"
     spec.write_text(json.dumps({"base": tiny_dict(tmp_path / "out"), "axes": axes}))

@@ -178,33 +178,73 @@ def edge_midpoints(mesh):
     return mesh.vertices[edges].mean(axis=1)
 
 
-def elliptic_gen_points():
-    """Nominal mesh of the elliptic-gen benchmark config and its 64 QoI
-    points pulled back through the map of a few samples, as a solve
-    locates them."""
-    cfg = dataclasses.replace(pipeline.preset("desk-elliptic"), d=16, p=1.0, n_points=64)
+def qoi_points(name, n_samples, **fields):
+    """Nominal mesh of a preset (with fields replaced) and its QoI points
+    pulled back through the map of the first samples, as a solve locates
+    them."""
+    cfg = dataclasses.replace(pipeline.preset(name), **fields)
     ws = pipeline.Workspace(cfg)
     pulled = [map_inverse(ws.problem.dm, pipeline.sample_parameters(7, k, cfg.d), ws.points)
-              for k in range(4)]
+              for k in range(n_samples)]
     return ws.mesh, np.concatenate(pulled)
 
 
-@pytest.mark.parametrize("name", ["square", "disk", "elliptic-gen"])
+def beyond_boundary(mesh, tol=1e-8):
+    """The midpoint of every boundary chord, pushed out by half the snap
+    tolerance (as a barycentric coordinate) of its triangle."""
+    m, count, _ = mesh.rings
+    ring = mesh.vertices[1:].reshape(count, m, 2)[-1]
+    p, q = ring, np.roll(ring, -1, axis=0)
+    length = np.hypot(*(q - p).T)
+    normal = np.stack([q[:, 1] - p[:, 1], p[:, 0] - q[:, 0]], axis=1) / length[:, None]
+    # the outer triangle (a0, b1, a1) of each strip of the last ring gap
+    height = 2 * mesh.areas()[-2 * m::2] / length
+    return (p + q) / 2 + 0.5 * tol * height[:, None] * normal
+
+
+def near_centre(mesh, tol=1e-8):
+    """Points within a few snap tolerances of the fan's centre, where fan
+    triangles many sectors away from a point pass the barycentric test."""
+    r0 = np.hypot(*mesh.vertices[1])
+    theta = np.linspace(0.0, 2 * np.pi, 97, endpoint=False)
+    scale = np.array([1e-3, 0.03, 0.1, 0.3, 1.0, 1.9])[:, None, None]
+    return (scale * tol * r0 * np.stack([np.cos(theta), np.sin(theta)], axis=-1)).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("name", ["square", "disk", "elliptic-gen", "desk-helmholtz",
+                                  "table2-alpha1000", "square-boundary", "disk-boundary",
+                                  "centre"])
 def test_locate_matches_brute_force(name, square_coarse):
+    # a unit disk with an absorbing annulus, coarse enough for the brute force
+    disk = build_disk_mesh(0.5, 0.125, 1.0, 1.0, 0.2, 0.4)
     extra = np.zeros((0, 2))
-    if name == "square":
+    if name in ("square", "disk", "elliptic-gen"):
+        if name == "square":
+            mesh = square_coarse
+        elif name == "disk":
+            mesh = disk
+        else:
+            mesh, extra = qoi_points("desk-elliptic", 4, d=16, p=1.0, n_points=64)
+        rng = np.random.default_rng(11)
+        rnd = rng.uniform(mesh.vertices.min(axis=0), mesh.vertices.max(axis=0), (400, 2))
+        if name == "disk":
+            rnd = rnd[np.hypot(*rnd.T) < 0.99 * mesh.circles[-1]]
+        # vertices and edge midpoints lie on several triangles: ties
+        pts = np.concatenate([rnd, mesh.vertices, edge_midpoints(mesh), centroids(mesh),
+                              extra])
+    elif name == "desk-helmholtz":
+        mesh, pts = qoi_points("desk-helmholtz", 8)
+    elif name == "table2-alpha1000":
+        # the full-scale square mesh (m = 1568, 7 rings past the outer circle)
+        mesh, pts = qoi_points("table2-alpha1000", 1, n_points=64)
+    elif name == "square-boundary":
         mesh = square_coarse
-    elif name == "disk":
-        # a unit disk with an absorbing annulus, coarse enough for the brute force
-        mesh = build_disk_mesh(0.5, 0.125, 1.0, 1.0, 0.2, 0.4)
+        pts = np.concatenate([[[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]],
+                              beyond_boundary(mesh)])
+    elif name == "disk-boundary":
+        mesh, pts = disk, beyond_boundary(disk)
     else:
-        mesh, extra = elliptic_gen_points()
-    rng = np.random.default_rng(11)
-    rnd = rng.uniform(mesh.vertices.min(axis=0), mesh.vertices.max(axis=0), (400, 2))
-    if name == "disk":
-        rnd = rnd[np.hypot(*rnd.T) < 0.99 * mesh.circles[-1]]
-    # vertices and edge midpoints lie on several triangles: ties
-    pts = np.concatenate([rnd, mesh.vertices, edge_midpoints(mesh), extra])
+        mesh, pts = square_coarse, np.concatenate([near_centre(square_coarse), [[0.0, 0.0]]])
     idx, lam = mesh.locate(pts)
     ref_idx, ref_lam = brute_locate(mesh, pts)
     assert idx.dtype == np.int64 and lam.shape == (len(pts), 3)
@@ -212,38 +252,29 @@ def test_locate_matches_brute_force(name, square_coarse):
     np.testing.assert_array_equal(lam, ref_lam)
 
 
-@pytest.mark.parametrize("preset", ["desk-elliptic", "desk-helmholtz", "table2-alpha1000"])
-def test_locate_grid_entries_bounded(preset):
-    mesh = pipeline._nominal_mesh(pipeline.preset(preset).data_signature())
-    mesh.locate(centroids(mesh)[:1])  # builds the grid
-    box_lo, cell, nx, ny, offsets, members = mesh._grid
-    assert offsets[-1] == members.size
-    assert members.size <= mesh_module._GRID_ENTRIES * mesh.n_triangles
-    # never coarser than one cell per largest triangle extent
-    v = mesh.vertices[mesh.triangles]
-    assert cell <= (v.max(axis=1) - v.min(axis=1)).max()
+@pytest.mark.parametrize("fixture", ["square_coarse", "disk_coarse"])
+def test_locate_rejects_point_far_outside(fixture, request):
+    mesh = request.getfixturevalue(fixture)
+    reach = np.abs(mesh.vertices).max()
+    inside = centroids(mesh)[:4]
+    for outside in ([3 * reach, 0.0], [-1.5 * reach, -1.5 * reach], [0.0, -1.01 * reach]):
+        with pytest.raises(MeshError, match="outside the mesh"):
+            mesh.locate(np.vstack([inside[:2], outside, inside[2:]]))
 
 
-def test_locate_grid_sized_below_largest_triangle():
-    # the graded square mesh: a grid sized by its largest triangle has
-    # 10 x 10 cells of ~64 triangles each
-    mesh = pipeline._nominal_mesh(pipeline.preset("desk-elliptic").data_signature())
-    mesh.locate(centroids(mesh)[:1])
-    _, _, nx, ny, offsets, _ = mesh._grid
-    assert nx * ny > 400
-    assert np.diff(offsets).mean() < 16
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_locate_rejects_non_finite_point(square_coarse, bad):
+    inside = centroids(square_coarse)[:3]
+    with pytest.raises(MeshError, match=r"\[.*(nan|inf).*\] is not finite"):
+        square_coarse.locate(np.vstack([inside[:2], [0.5, bad], inside[2:]]))
 
 
-def test_locate_rejects_point_in_empty_cell(disk_coarse):
-    disk_coarse.locate(np.zeros((1, 2)))  # builds the grid
-    box_lo, cell, nx, ny, offsets, _ = disk_coarse._grid
-    empty = np.flatnonzero(np.diff(offsets) == 0)
-    assert empty.size  # the corners of the disk's bounding box
-    i, j = divmod(empty[0], ny)
-    outside = box_lo + cell * (np.array([i, j]) + 0.5)
-    inside = centroids(disk_coarse)[:5]
-    with pytest.raises(MeshError, match=r"outside the mesh$"):
-        disk_coarse.locate(np.vstack([inside[:2], outside, inside[2:]]))
+def test_locate_needs_ring_layout(square_coarse):
+    plain = Mesh(square_coarse.vertices, square_coarse.triangles, square_coarse.region,
+                 square_coarse.band, square_coarse.boundary, square_coarse.circles)
+    with pytest.raises(MeshError, match="ring"):
+        plain.locate(centroids(square_coarse)[:2])
 
 
 def test_locate_rejects_point_past_snap_tolerance(square_coarse):
@@ -262,23 +293,6 @@ def test_locate_rejects_point_past_snap_tolerance(square_coarse):
     assert idx[-1] == t and lam[-1].min() < 0
     with pytest.raises(MeshError, match="snap tolerance"):
         square_coarse.locate(np.vstack([inside[:2], far, inside[2:]]))
-
-
-def test_locate_builds_grid_once(monkeypatch):
-    mesh = build_square_mesh(0.5, 0.125, 0.875, 0.06, 0.15)
-    builds = []
-    real = Mesh._build_grid
-
-    def counting(self):
-        builds.append(1)
-        real(self)
-
-    monkeypatch.setattr(Mesh, "_build_grid", counting)
-    cen = centroids(mesh)
-    for k in range(3):
-        idx, _ = mesh.locate(cen[k::50])
-        assert np.all(idx == np.arange(mesh.n_triangles)[k::50])
-    assert builds == [1]
 
 
 def test_checker_catches_flipped_triangle(square_coarse):

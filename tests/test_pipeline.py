@@ -713,7 +713,7 @@ def _refuse(*args, **kwargs):
     ({"direction": [[1, 0], [0, 1]]}, "'direction'"),
     ({"direction": [1.0]}, "'direction'"), ({"colour": [1]}, "'colour'"),
     ({"d": [8.0]}, "'d'"), ({"n_points": [2, 2.0]}, "'n_points'"),
-    ({"p": [True]}, "'p'")])
+    ({"p": [True]}, "'p'"), ({"d": [4, 4]}, "'d' repeats")])
 def test_sweep_rejects_bad_axes_before_any_cell(tmp_path, monkeypatch, axes, named):
     monkeypatch.setattr(pl, "gen_data", _refuse)
     with pytest.raises(pl.PipelineError, match=named):
