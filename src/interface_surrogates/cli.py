@@ -70,6 +70,8 @@ def _load_sweep(args):
     if args.config is not None:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise PipelineError(f"a sweep config must be a JSON object, got {data!r}")
         if "preset" in data:
             base = pipeline.preset(data["preset"])
         elif "base" in data:

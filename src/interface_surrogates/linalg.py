@@ -125,6 +125,15 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
     raise NotConvergedError(maxit, np.linalg.norm(r) / bnorm)
 
 
+def _splu(A, order):
+    """SuperLU factor of A with column ordering order; an exactly zero
+    pivot raises SingularMatrixError."""
+    try:
+        return spla.splu(sp.csc_matrix(A), permc_spec=order)
+    except RuntimeError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+
+
 def lu_factor(A):
     """Supernodal LU of A for repeated solves, ordered by minimum degree on
     A^T + A, which on the (structurally symmetric) FEM matrices keeps about
@@ -135,10 +144,7 @@ def lu_factor(A):
     factor's U is never built for a pivot check: a factor used as a
     preconditioner shows a tiny pivot as slow or failed convergence.
     """
-    try:
-        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SingularMatrixError(str(exc)) from exc
+    return _splu(A, "MMD_AT_PLUS_A")
 
 
 def nominal_method(rings):
@@ -203,11 +209,7 @@ def nominal_factor(A, rings):
     cols = np.concatenate([[0, 1, 0], idx.ravel(), idx[:, 1:].ravel(), idx[:, :-1].ravel()])
     vals = np.concatenate([[mean[0], root * mean[1], root * mean[2]], lam[:, 1].T.ravel(),
                            lam[:-1, 2].T.ravel(), lam[1:, 0].T.ravel()])
-    try:
-        lu = spla.splu(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)),
-                       permc_spec="NATURAL")
-    except RuntimeError as exc:
-        raise SingularMatrixError(str(exc)) from exc
+    lu = _splu(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)), "NATURAL")
     real = not np.iscomplexobj(val)
 
     def solve(r):
@@ -231,12 +233,8 @@ def lu_solve(A, b):
     Works for real and complex systems; raises SingularMatrixError when a
     pivot falls below 1e-14 times the largest matrix entry.
     """
-    A = A.tocsc() if not sp.isspmatrix_csc(A) else A
     threshold = 1e-14 * abs(A).max()
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:
-        raise SingularMatrixError(str(exc)) from exc
+    lu = _splu(A, "COLAMD")
     pivots = np.abs(lu.U.diagonal())
     if pivots.min() <= threshold:
         raise SingularMatrixError(

@@ -214,26 +214,48 @@ class _Elements:
         return np.where(np.arange(self.size) < self.n_inner, inside, outside)
 
 
-class _FemCache:
-    """Mesh-dependent data shared by every sample: Dirichlet dof numbering,
-    the interior-dof CSR pattern, and the _Elements of the band triangles,
-    the only ones that move with y.  The _Elements of the fixed triangles
-    are handed out once, by take_fixed, for the problem to sum at set-up;
-    no per-triangle array of the whole mesh is kept."""
+class _MappedProblem:
+    """Assembly of -div(alpha grad u) - kappa2 u shared by both problems.
 
-    def __init__(self, mesh):
-        tri = mesh.triangles.astype(np.int64)
+    A subclass sets its own fields, then calls __init__, which builds the
+    Dirichlet dof numbering, the interior-dof CSR pattern and the _Elements
+    of the band triangles, the only ones that move with y, and sums the
+    others once.  The subclass defines
+      tol: the relative residual at which its solves stop;
+      _coefficients(el): alpha area and kappa2 area per triangle of an
+        _Elements, with None for a kappa2 that vanishes, so that no mass
+        term is formed;
+      _load(el, cs, sn, g, m01, m11): el's summed load vector, given the
+        polar factors (3, t) of DPhi at its quadrature points;
+    and may override _fixed_factors(el), the identity, with an absorbing
+    layer's stretch.  __init__ sums the fixed triangles from
+    _fixed_factors and keeps no per-triangle array of them; _assemble(y)
+    adds the band triangles from one map_jacobian(..., polar=True) call.
+    Both take the stiffness's averaged pullback metric Kbar from _metric;
+    with DPhi = Q [[g, m01], [0, m11]] Q^T, detDPhi = g m11 and Phi is the
+    points times m11, so no 2 x 2 Jacobian is formed.
+
+    The first _solve factors A(0) (linalg.nominal_factor, by FFT or LU as
+    the mesh's ring layout allows); each sample then runs CG (COCG for the
+    complex Helmholtz matrix) preconditioned by it, and its info names the
+    nominal solve ("nominal") and that factor's fill ("nominal_fill").
+    assemble never factors.
+    """
+
+    _factor = None
+
+    def __init__(self, mesh, dm, alpha_i):
+        self.mesh, self.dm, self.alpha_i = mesh, dm, float(alpha_i)
         dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-        interior = mesh.interior_nodes()
+        self.interior = interior = mesh.interior_nodes()
         dof[interior] = np.arange(interior.size)
-        self.interior = interior
         n = self.n_int = interior.size
 
         # entry (i, j) of a triangle's element matrix goes to CSR slot
         # slots[t, 3 i + j], read back from a pattern whose values are their
         # own slot numbers; entries on a Dirichlet row or column go to the
         # dropped slot nnz
-        d = dof[tri]
+        d = dof[mesh.triangles]
         rows, cols = np.repeat(d, 3, axis=1).ravel(), np.tile(d, 3).ravel()
         keep = (rows >= 0) & (cols >= 0)
         pattern = assemble_csr(rows[keep], cols[keep], np.ones(keep.sum()), n)
@@ -249,40 +271,11 @@ class _FemCache:
         self.band = _Elements(mesh, np.nonzero(moving)[0], area, slots, dof_slots)
         # chi branch of each band quadrature point, laid out like band.quad
         self.band_tags = np.tile(mesh.band[self.band.tris], 3)
-        self._fixed = _Elements(mesh, np.nonzero(~moving)[0], area, slots, dof_slots)
-
-    def take_fixed(self):
-        """The fixed triangles' _Elements, handed out once."""
-        fixed, self._fixed = self._fixed, None
-        return fixed
-
-
-class _MappedProblem:
-    """Assembly of -div(alpha grad u) - kappa2 u shared by both problems.
-
-    A subclass sets mesh, dm and cache, calls _fix() and defines
-      _coefficients(el): alpha area and kappa2 area per triangle of an
-        _Elements, with None for a kappa2 that vanishes, so that no mass
-        term is formed;
-      _load(el, cs, sn, g, m01, m11): el's summed load vector, given the
-        polar factors (3, t) of DPhi at its quadrature points;
-    and may override _fixed_factors(el), the identity, with an absorbing
-    layer's stretch.  The map moves no triangle outside the two bands, so
-    _fix sums those once, at set-up, from _fixed_factors; _assemble(y) adds
-    the band triangles from one map_jacobian(..., polar=True) call.  Both
-    go through _metric: with DPhi = Q [[g, m01], [0, m11]] Q^T, the pullback
-    metric is Q Kp Q^T for that Kp of the triangular factor, detDPhi = g m11
-    and Phi is the points times m11, so no 2 x 2 Jacobian is formed.  The
-    stiffness reads only the quadrature average Kbar of the metric.
-
-    The first _solve factors A(0) (linalg.nominal_factor, by FFT or LU as
-    the mesh's ring layout allows); each sample then runs CG (COCG for the
-    complex Helmholtz matrix) preconditioned by it, and its info names the
-    nominal solve ("nominal") and that factor's fill ("nominal_fill").
-    assemble never factors.
-    """
-
-    _factor = None
+        fixed = _Elements(mesh, np.nonzero(~moving)[0], area, slots, dof_slots)
+        factors = self._fixed_factors(fixed)
+        self._fixed = (self._values(fixed, self._coefficients(fixed), *_metric(*factors)),
+                       self._load(fixed, *factors))
+        self._band_coef = self._coefficients(self.band)
 
     def _values(self, el, coef, Kxx, Kxy, Kyy, det):
         """CSR values of el's element matrices alpha area g_i^T Kbar g_j,
@@ -296,31 +289,21 @@ class _MappedProblem:
         S = gx[:, None] * (kxx * gx + kxy * gy) + gy[:, None] * (kxy * gx + kyy * gy)
         if kappa2 is not None:
             S -= (_MASS.T @ (kappa2 * det)).reshape(3, 3, -1)
-        return _bincount(el.slots, S, self.cache.nnz)
+        return _bincount(el.slots, S, self.nnz)
 
     def _fixed_factors(self, el):
         """Polar factors (3, t) of the fixed triangles: the identity."""
         return [np.full((3, el.size), f) for f in (1.0, 0.0, 1.0, 0.0, 1.0)]
 
-    def _fix(self):
-        """Sum the fixed triangles once, matrix and load from _fixed_factors."""
-        el = self.cache.take_fixed()
-        factors = self._fixed_factors(el)
-        self._fixed = (self._values(el, self._coefficients(el), *_metric(*factors)),
-                       self._load(el, *factors))
-        self._band_coef = self._coefficients(self.cache.band)
-
     def _matrix(self, band_values):
         """CSR matrix of the fixed triangles plus the band triangles' values."""
-        cache = self.cache
-        return sp.csr_matrix((self._fixed[0] + band_values, cache.indices.copy(),
-                              cache.indptr.copy()), shape=(cache.n_int, cache.n_int))
+        return sp.csr_matrix((self._fixed[0] + band_values, self.indices.copy(),
+                              self.indptr.copy()), shape=(self.n_int, self.n_int))
 
     def _assemble(self, y):
-        cache = self.cache
-        el = cache.band
+        el = self.band
         factors = [f.reshape(3, -1) for f in map_jacobian(
-            self.dm, y, el.quad, cache.band_tags, polar=True)]
+            self.dm, y, el.quad, self.band_tags, polar=True)]
         values = self._values(el, self._band_coef, *_metric(*factors))
         return self._matrix(values), self._fixed[1] + self._load(el, *factors)
 
@@ -328,23 +311,25 @@ class _MappedProblem:
         """linalg.NominalFactor of A(0): the map is the identity at y = 0, so
         the band triangles take Kbar = I and detDPhi = 1, and no load."""
         if self._factor is None:
-            el = self.cache.band
+            el = self.band
             values = self._values(el, self._band_coef, 1.0, 0.0, 1.0, np.ones((3, el.size)))
             self._factor = nominal_factor(self._matrix(values), self.mesh.rings)
         return self._factor
 
-    def _solve(self, y, tol):
-        """Nodal solution of A(y) u = b(y), zero on the Dirichlet boundary,
-        and the solver info; a failed solve raises SolverError with y."""
+    def _solve(self, y):
+        """Nodal solution of A(y) u = b(y) to relative residual tol, zero on
+        the Dirichlet boundary, and the solver info; a failed solve raises
+        SolverError with y."""
         A, b = self.assemble(y)
         try:
             factor = self._nominal_factor()
-            u_int, info = cg_solve(A, b, tol=tol, maxit=COCG_MAXIT, precond=factor.solve)
+            u_int, info = cg_solve(A, b, tol=self.tol, maxit=COCG_MAXIT,
+                                   precond=factor.solve)
         except (NotConvergedError, SingularMatrixError, NotFiniteError) as exc:
             raise SolverError(f"COCG failed for y={np.asarray(y)!r}: {exc}", y) from exc
         info.update(nominal=factor.method, nominal_fill=factor.fill)
         u = np.zeros(self.mesh.n_vertices, dtype=u_int.dtype)
-        u[self.cache.interior] = u_int
+        u[self.interior] = u_int
         return u, info
 
 
@@ -361,13 +346,9 @@ class EllipticProblem(_MappedProblem):
     """
 
     def __init__(self, mesh, dm, alpha_i, source=default_source, cg_tol=1e-10):
-        self.mesh = mesh
-        self.dm = dm
-        self.alpha_i = float(alpha_i)
         self.source = source
-        self.cg_tol = cg_tol
-        self.cache = _FemCache(mesh)
-        self._fix()
+        self.tol = cg_tol
+        super().__init__(mesh, dm, alpha_i)
 
     def _coefficients(self, el):
         return el.area * el.region_values(self.alpha_i, 1.0), None
@@ -375,14 +356,14 @@ class EllipticProblem(_MappedProblem):
     def _load(self, el, cs, sn, g, m01, m11):
         # fhat = f(Phi(x)) detDPhi at the quadrature points, Phi(x) = x m11
         fval = self.source(el.quad * m11.reshape(-1, 1)).reshape(3, -1) * (g * m11)
-        return _bincount(el.dof_slots, (_LOAD.T @ fval) * el.area, self.cache.n_int)
+        return _bincount(el.dof_slots, (_LOAD.T @ fval) * el.area, self.n_int)
 
     def assemble(self, y):
         """Stiffness matrix and load vector on interior dofs."""
         return self._assemble(y)
 
     def solve(self, y):
-        u, info = self._solve(y, self.cg_tol)
+        u, info = self._solve(y)
         return ScalarField(self.mesh, u, info=info)
 
 
@@ -405,6 +386,8 @@ class HelmholtzProblem(_MappedProblem):
     read (see _TotalField).
     """
 
+    tol = COCG_TOL
+
     def __init__(self, mesh, dm, alpha_i, kappa_i, kappa_o,
                  direction=(1.0, 0.0), pml_damping=0.5):
         if kappa_i**2 / kappa_o**2 > alpha_i + 1e-12:
@@ -413,9 +396,6 @@ class HelmholtzProblem(_MappedProblem):
                 f"{kappa_i**2 / kappa_o**2:.3g} > alpha_i = {alpha_i}")
         if len(mesh.circles) < 4:
             raise ValueError("transmission problem needs a mesh with an absorbing annulus")
-        self.mesh = mesh
-        self.dm = dm
-        self.alpha_i = float(alpha_i)
         self.kappa_i = float(kappa_i)
         self.kappa_o = float(kappa_o)
         self.direction = np.asarray(direction, dtype=float)
@@ -423,8 +403,7 @@ class HelmholtzProblem(_MappedProblem):
         self.pml_damping = float(pml_damping)
         self.R = mesh.circles[2]
         self.pml_thickness = mesh.circles[3] - mesh.circles[2]
-        self.cache = _FemCache(mesh)
-        self._fix()
+        super().__init__(mesh, dm, alpha_i)
         self._pml_mask = np.hypot(*mesh.vertices.T) > self.R + 1e-12
 
     def _coefficients(self, el):
@@ -476,7 +455,7 @@ class HelmholtzProblem(_MappedProblem):
         mass = _LOAD.T @ (g * m11 * uinc)
         bt = el.area[:n] * ((self.kappa_i**2 - self.kappa_o**2) * mass
                             - (1j * self.kappa_o * (self.alpha_i - 1.0) / 3) * stiff)
-        return _bincount(el.dof_slots[:, :n], bt, self.cache.n_int)
+        return _bincount(el.dof_slots[:, :n], bt, self.n_int)
 
     def _incident(self, y, points):
         """Incident wave exp(i kappa_o dhat . Phi(y; x)) at nominal points x."""
@@ -487,7 +466,7 @@ class HelmholtzProblem(_MappedProblem):
         return self._assemble(y)
 
     def solve(self, y):
-        us, info = self._solve(y, COCG_TOL)
+        us, info = self._solve(y)
         if info["residual"] > RESIDUAL_BOUND:
             raise SolverError(
                 f"COCG failed for y={np.asarray(y)!r}: true residual "

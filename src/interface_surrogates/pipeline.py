@@ -18,8 +18,8 @@ import numbers
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +90,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in ("elliptic", "helmholtz"):
             raise PipelineError(f"unknown problem kind {self.problem!r}")
+        if not isinstance(self.out_dir, str):
+            raise PipelineError(f"out_dir must be a string, got {self.out_dir!r}")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type in (int, float) and not (value is None and f.default is None):
@@ -129,10 +131,6 @@ class ExperimentConfig:
         ko = K0 if self.kappa_o is None else float(self.kappa_o)
         ki = 0.8 * ko if self.kappa_i is None else float(self.kappa_i)
         return ko, ki
-
-    def solver_tol(self):
-        """Relative residual at which the problem's Krylov solve stops."""
-        return self.cg_tol if self.problem == "elliptic" else COCG_TOL
 
     def widths(self):
         return surrogate.default_widths(self.d, self.n_points, depth=self.depth)
@@ -202,6 +200,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise PipelineError(f"a config must be a JSON object, got {data!r}")
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - names
         if unknown:
@@ -391,6 +391,9 @@ def gen_data(config, n=None, seed=None, workers=1, workspace=None):
     on a Workspace of its own; the parent solves block 0 on workspace, a
     Workspace of config's data signature, or on a fresh one when none is
     given.  Each sample is solved alone, so no result depends on workers.
+    A failed sample raises PipelineError: one in block 0 at once, the pool
+    being terminated on the way out, one in a later block only once block 0
+    is done, when its result is read.
     """
     n = config.n_train if n is None else int(n)
     seed = config.seed if seed is None else int(seed)
@@ -401,11 +404,11 @@ def gen_data(config, n=None, seed=None, workers=1, workspace=None):
     t0 = time.time()
     k = min(max(workers, 1), n)
     edges = [n * j // k for j in range(k + 1)]
-    with ProcessPoolExecutor(k - 1) if k > 1 else contextlib.nullcontext() as pool:
-        rest = [pool.submit(_solve_block, config, seed, a, b)
+    with Pool(k - 1) if k > 1 else contextlib.nullcontext() as pool:
+        rest = [pool.apply_async(_solve_block, (config, seed, a, b))
                 for a, b in zip(edges[1:-1], edges[2:])]
         ws = Workspace(config) if workspace is None else workspace
-        blocks = [_solve_block(config, seed, 0, edges[1], ws)] + [f.result() for f in rest]
+        blocks = [_solve_block(config, seed, 0, edges[1], ws)] + [r.get() for r in rest]
     samples, qoi = (np.concatenate(parts) for parts in zip(*blocks))
     meta = {
         "config": config.to_dict(),
@@ -416,7 +419,7 @@ def gen_data(config, n=None, seed=None, workers=1, workspace=None):
         "n_points": config.n_points,
         "mesh_checksum": mesh_checksum(ws.mesh),
         "solver": {"method": f"nominal-{nominal_method(ws.mesh.rings)}-cocg",
-                   "tol": config.solver_tol()},
+                   "tol": ws.problem.tol},
         "wall_time": time.time() - t0,
         "created": datetime.now(timezone.utc).isoformat(),
     }

@@ -29,7 +29,7 @@ TOL_FACTOR = 10.0
 
 def _qoi(ws, y, u_int):
     u = np.zeros(ws.mesh.n_vertices)
-    u[ws.problem.cache.interior] = u_int
+    u[ws.problem.interior] = u_int
     return evaluate_qoi(ScalarField(ws.mesh, u), ws.dm, y, ws.points, ws.kind)
 
 

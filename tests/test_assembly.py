@@ -78,15 +78,15 @@ def test_assemble_sums_the_series_once(case, monkeypatch):
 def test_jacobian_image_matches_map_forward(case):
     # the polar factors give DPhi bit for bit and Phi = x m11 to rounding
     _, ws = case
-    cache = ws.problem.cache
-    dm = ws.problem.dm
-    points = cache.band.quad
+    problem = ws.problem
+    dm = problem.dm
+    points = problem.band.quad
     for k in range(3):
         y = pipeline.sample_parameters(3, k, ws.config.d)
-        factors = pde.map_jacobian(dm, y, points, cache.band_tags, polar=True)
+        factors = pde.map_jacobian(dm, y, points, problem.band_tags, polar=True)
         np.testing.assert_array_equal(
             geometry.polar_jacobian(*factors),
-            pde.map_jacobian(dm, y, points, cache.band_tags))
+            pde.map_jacobian(dm, y, points, problem.band_tags))
         np.testing.assert_allclose(points * factors[4][:, None],
                                    geometry.map_forward(dm, y, points),
                                    rtol=1e-15, atol=0)
@@ -113,7 +113,7 @@ def _reference(problem, tris, J, y):
     tris from the Jacobian J (t, 3, 2, 2) at their quadrature points, through
     _pullback and per-triangle einsums (y is None for the nominal matrix,
     which has no load)."""
-    mesh, cache = problem.mesh, problem.cache
+    mesh = problem.mesh
     v = mesh.vertices[mesh.triangles[tris]]
     area = mesh.areas()[tris]
     grads = np.empty((tris.size, 3, 2))
@@ -131,11 +131,11 @@ def _reference(problem, tris, J, y):
         kappa2 = np.where(inner, problem.kappa_i**2, problem.kappa_o**2)
         S = S - ((kappa2 * area)[:, None] * (det @ pde._MASS)).reshape(-1, 3, 3)
     dof = np.full(mesh.n_vertices, -1)
-    dof[cache.interior] = np.arange(cache.n_int)
+    dof[problem.interior] = np.arange(problem.n_int)
     d = dof[mesh.triangles[tris]]
     rows, cols = np.repeat(d, 3, axis=1).ravel(), np.tile(d, 3).ravel()
     keep = (rows >= 0) & (cols >= 0)
-    n = cache.n_int
+    n = problem.n_int
     A = sp.csr_matrix((S.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n))
     if y is None:
         return A, None
@@ -160,9 +160,8 @@ def _reference(problem, tris, J, y):
 
 
 def _fixed_matrix(problem):
-    cache = problem.cache
-    return sp.csr_matrix((problem._fixed[0], cache.indices, cache.indptr),
-                         shape=(cache.n_int, cache.n_int))
+    return sp.csr_matrix((problem._fixed[0], problem.indices, problem.indptr),
+                         shape=(problem.n_int, problem.n_int))
 
 
 def _assert_close(got, want):
@@ -173,12 +172,11 @@ def _assert_close(got, want):
 def test_band_kernel_matches_cartesian_reference(case):
     _, ws = case
     problem = ws.problem
-    cache = problem.cache
-    t = cache.band.size
+    t = problem.band.size
     for k in range(3):
         y = pipeline.sample_parameters(5, k, ws.config.d)
-        J = pde.map_jacobian(problem.dm, y, cache.band.quad, cache.band_tags)
-        ref_A, ref_b = _reference(problem, cache.band.tris,
+        J = pde.map_jacobian(problem.dm, y, problem.band.quad, problem.band_tags)
+        ref_A, ref_b = _reference(problem, problem.band.tris,
                                   J.reshape(3, t, 2, 2).swapaxes(0, 1), y)
         A, b = problem.assemble(y)
         _assert_close(A - _fixed_matrix(problem), ref_A)
@@ -192,12 +190,12 @@ def test_nominal_band_values_match_identity_reference(case, monkeypatch):
     monkeypatch.setattr(pde, "nominal_factor",
                         lambda A, rings: factored.append(A) or "factor")
     assert fresh._nominal_factor() == "factor"
-    J = np.broadcast_to(np.eye(2), (fresh.cache.band.size, 3, 2, 2))
-    ref_A, _ = _reference(fresh, fresh.cache.band.tris, J, None)
+    J = np.broadcast_to(np.eye(2), (fresh.band.size, 3, 2, 2))
+    ref_A, _ = _reference(fresh, fresh.band.tris, J, None)
     _assert_close(factored[0] - _fixed_matrix(fresh), ref_A)
 
 
-def test_fixed_values_match_cartesian_reference(case):
+def test_fixed_values_match_cartesian_reference(case, monkeypatch):
     # the core, the far field and the absorbing layer, summed once at set-up;
     # the layer's Jacobian is d e_rho e_rho^T + s e_phi e_phi^T
     _, ws = case
@@ -225,9 +223,9 @@ def test_fixed_values_match_cartesian_reference(case):
     _assert_close(problem._fixed[1], ref_b)
     # the map moves no fixed quadrature point, so the load is the one of
     # identity factors, whatever the layer's stretch
-    el = pde._FemCache(mesh).take_fixed()
-    identity = [np.full((3, el.size), f) for f in (1.0, 0.0, 1.0, 0.0, 1.0)]
-    np.testing.assert_array_equal(problem._fixed[1], problem._load(el, *identity))
+    monkeypatch.setattr(type(problem), "_fixed_factors", pde._MappedProblem._fixed_factors)
+    identity = pipeline.Workspace(ws.config).problem
+    np.testing.assert_array_equal(problem._fixed[1], identity._fixed[1])
 
 
 def test_elliptic_assembly_forms_no_mass_term(monkeypatch):

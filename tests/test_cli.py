@@ -240,6 +240,22 @@ def test_gen_data_mistyped_number_exit_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, spec, named", [
+    ("train", {"out_dir": 5}, "out_dir"),
+    ("gen-data", [{"d": 4}], "JSON object"),
+    ("sweep", {"base": 5, "axes": {"p": [1.0]}}, "JSON object"),
+    ("sweep", ["preset", "axes"], "JSON object"),
+])
+def test_malformed_config_exit_2(tmp_path, capsys, monkeypatch, command, spec, named):
+    # a config that is not an object of fields is rejected when it is read
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "interface_surrogates",
                            "--help"], capture_output=True, text=True)

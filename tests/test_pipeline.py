@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +115,7 @@ def test_helmholtz_rejects_cg_tol():
         dataclasses.replace(pl.preset("desk-helmholtz"), cg_tol=1e-12)
     default = pl.ExperimentConfig.cg_tol
     assert pl.ExperimentConfig(problem="helmholtz", cg_tol=default).cg_tol == default
-    assert pl.ExperimentConfig(problem="elliptic", cg_tol=1e-6).solver_tol() == 1e-6
+    assert pl.Workspace(tiny_config(cg_tol=1e-6)).problem.tol == 1e-6
 
 
 def test_sweep_records_helmholtz_cg_tol_cells_as_failed(tmp_path):
@@ -351,10 +354,31 @@ def test_gen_data_reports_failed_sample_of_a_worker_block(monkeypatch):
     assert str(bad.tolist()) in str(err.value)
 
 
+def test_gen_data_failure_in_parent_block_stops_the_pool(monkeypatch):
+    # n = 40 over two processes: the parent fails at sample 0 while the
+    # worker's block of 20 samples would take 20 x 0.1 s; the pool forks,
+    # so the worker runs the patched, sleeping solve
+    cfg = tiny_config()
+    solve, parent = pl.Workspace.solve, os.getpid()
+
+    def failing(self, y):
+        if os.getpid() == parent:
+            raise SolverError("injected failure", y)
+        time.sleep(0.1)
+        return solve(self, y)
+
+    monkeypatch.setattr(pl.Workspace, "solve", failing)
+    start = time.perf_counter()
+    with pytest.raises(pl.PipelineError, match="sample 0 failed: injected"):
+        pl.gen_data(cfg, 40, 5, workers=2)
+    assert time.perf_counter() - start < 1.0
+    assert multiprocessing.active_children() == []
+
+
 def _count_builds(monkeypatch):
     """Record, in this process, every Workspace, mesh and process pool built."""
     built = {"workspace": 0, "mesh": 0, "pools": []}
-    init, pool = pl.Workspace.__init__, pl.ProcessPoolExecutor
+    init, pool = pl.Workspace.__init__, pl.Pool
 
     def counting_init(self, config):
         built["workspace"] += 1
@@ -366,14 +390,14 @@ def _count_builds(monkeypatch):
             return build(*args)
         return counted
 
-    def recording_pool(max_workers):
-        built["pools"].append(max_workers)
-        return pool(max_workers)
+    def recording_pool(processes):
+        built["pools"].append(processes)
+        return pool(processes)
 
     monkeypatch.setattr(pl.Workspace, "__init__", counting_init)
     for name in ("build_square_mesh", "build_disk_mesh"):
         monkeypatch.setattr(pl, name, counting(getattr(pl, name)))
-    monkeypatch.setattr(pl, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(pl, "Pool", recording_pool)
     return built
 
 
