@@ -32,7 +32,6 @@ from .linalg import (
     SingularMatrixError,
     assemble_csr,
     cg_solve,
-    lu_factor,
     lu_solve,
     nominal_factor,
 )

@@ -13,7 +13,7 @@ rings are all circles A(0) is block-circulant in azimuth: an FFT along each
 ring turns it into one tridiagonal system in the ring index per azimuthal
 mode, factored together once (the Fourier-analysis fast solver, Hockney
 1965).  Any other mesh, such as the square one whose outer rings blend
-into the square, takes a sparse LU factorization of A(0) (lu_factor).
+into the square, takes a sparse LU factorization of A(0).
 lu_solve is the one-shot direct solver, with partial pivoting and an
 explicit zero-pivot check, kept as the reference the iterative path is
 tested against.
@@ -53,11 +53,12 @@ CIRCULANT_TOL = 1e-12
 class NominalFactor(NamedTuple):
     """A factored nominal matrix: method "fft" (azimuthal FFT and mode
     solve) or "lu" (sparse LU), the stored L + U entries of the system it
-    factored, and solve, r -> A(0)^-1 r."""
+    factored, solve, r -> A(0)^-1 r, and norm, the 1-norm of A(0)."""
 
     method: str
     fill: int
     solve: Callable
+    norm: float
 
 
 def assemble_csr(rows, cols, vals, n):
@@ -134,19 +135,6 @@ def _splu(A, order):
         raise SingularMatrixError(str(exc)) from exc
 
 
-def lu_factor(A):
-    """Supernodal LU of A for repeated solves, ordered by minimum degree on
-    A^T + A, which on the (structurally symmetric) FEM matrices keeps about
-    half the fill of COLAMD.
-
-    Returns scipy's SuperLU object; its .solve applies A^-1.  Raises
-    SingularMatrixError when SuperLU meets an exactly zero pivot.  The
-    factor's U is never built for a pivot check: a factor used as a
-    preconditioner shows a tiny pivot as slow or failed convergence.
-    """
-    return _splu(A, "MMD_AT_PLUS_A")
-
-
 def nominal_method(rings):
     """The nominal solve nominal_factor runs on a mesh of this RingLayout
     (None for a mesh not built from rings): "fft" when every ring, the
@@ -158,8 +146,8 @@ def nominal_factor(A, rings):
     """Factor the nominal matrix A, on the interior dofs of a mesh with
     RingLayout rings (the boundary ring eliminated), for repeated solves.
 
-    Returns a NominalFactor.  The "lu" method is lu_factor.  The "fft"
-    method reads A as block-circulant: it averages each class of entries
+    Returns a NominalFactor.  The "lu" method is a supernodal LU of A.  The
+    "fft" method reads A as block-circulant: it averages each class of entries
     that one (ring, ring offset, azimuth offset) shares, raising ValueError
     when an entry is more than CIRCULANT_TOL max|A| from its class mean or
     couples rings more than one apart.  A unitary DFT along the azimuth
@@ -169,9 +157,12 @@ def nominal_factor(A, rings):
     ordering, so the factor keeps the band.  Raises SingularMatrixError
     when a mode system has an exactly zero pivot.
     """
+    norm = float(abs(A).sum(axis=0).max())  # 1-norm: largest column sum
     if nominal_method(rings) == "lu":
-        lu = lu_factor(A)
-        return NominalFactor("lu", lu.nnz, lu.solve)
+        # minimum degree on A^T + A keeps about half COLAMD's fill on the FEM
+        # matrices; no U is built: a tiny pivot shows as slow convergence
+        lu = _splu(A, "MMD_AT_PLUS_A")
+        return NominalFactor("lu", lu.nnz, lu.solve, norm)
     m, nring = rings.m, rings.count - 1
     n = 1 + nring * m
     coo = sp.coo_matrix(A)
@@ -224,7 +215,7 @@ def nominal_factor(A, rings):
                                                  axis=1, norm="ortho")
         return x.real if real else x
 
-    return NominalFactor("fft", lu.nnz, solve)
+    return NominalFactor("fft", lu.nnz, solve, norm)
 
 
 def lu_solve(A, b):

@@ -241,6 +241,12 @@ def _azimuth_count(radii, size, minimum=16):
     return max(minimum, 8 * int(round(need / 8)))
 
 
+def _check_sizes(h_interface, h_far):
+    # written so that a NaN size fails too
+    if not (h_interface > 0 and h_far > 0):
+        raise MeshError(f"need h_interface > 0 and h_far > 0, got {h_interface} and {h_far}")
+
+
 def build_square_mesh(r0, r_inner, r_outer, h_interface, h_far):
     """Mesh of the square (-1,1)^2 conforming to the three mollifier circles.
 
@@ -250,6 +256,7 @@ def build_square_mesh(r0, r_inner, r_outer, h_interface, h_far):
     """
     if not (0 < r_inner < r0 < r_outer < 1.0):
         raise MeshError("need 0 < r_inner < r0 < r_outer < 1")
+    _check_sizes(h_interface, h_far)
     size = lambda rho: _size_field(rho, r0, h_interface, h_far)
     radii = _ring_radii([r_inner, r0, r_outer], size)
     m = max(16, 8 * int(round(2 * np.pi * r0 / h_interface / 8)))
@@ -279,6 +286,7 @@ def build_disk_mesh(r0, r_inner, R, pml_thickness, h_interface, h_far):
         raise MeshError("need 0 < r_inner < r0 < R")
     if pml_thickness < 0:
         raise MeshError("pml_thickness must be >= 0")
+    _check_sizes(h_interface, h_far)
     pml = pml_thickness > 0
     pml_h = min(h_far, pml_thickness / 10) if pml else None
     # wave meshes bound every edge (diagonals included) by the size field,

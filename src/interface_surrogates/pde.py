@@ -24,7 +24,8 @@ factor A(0) once and solve each sample by CG preconditioned by that factor
 picks the factor by what the mesh shows: on a mesh whose rings are all
 circles (every disk mesh) A(0) is block-circulant in azimuth and is solved
 by an FFT along the rings and one banded mode solve; on any other mesh,
-the square one among them, by a sparse LU of A(0).
+the square one among them, by a sparse LU of A(0).  Both problems check a
+solution by its normwise backward error (Rigal & Gaches 1967).
 
 The transmission problem is solved for the scattered field with the
 incident plane wave imposed through a volume term supported on the inner
@@ -69,14 +70,15 @@ class SolverError(RuntimeError):
         self.y = np.array(y, dtype=float)
 
 # Helmholtz solves stop at this relative residual (QoIs then match a direct
-# solve to ~1e-10), and reject a solution whose true residual ||b - A x|| / ||b||
-# exceeds RESIDUAL_BOUND (on the desk presets it stays below 1.6 COCG_TOL).
-# Both problems stop at COCG_MAXIT iterations; preconditioned by A(0)^-1,
-# from the azimuthal FFT solve on disk meshes or sparse LU on the square
-# one, they take 7-14.
+# solve to ~1e-10).  Both problems stop at COCG_MAXIT iterations (they take
+# 7-14, preconditioned by A(0)^-1) and reject a solution whose backward error
+# ||b - A x|| / (||A(0)||_1 ||x|| + ||b||) exceeds BACKWARD_ERROR_FACTOR tol.
+# It never exceeds the relative residual, so a solve that meets tol passes on
+# any mesh (measured: <= 6e-5 tol on the presets, 1.2e-2 tol on the coarsest
+# square mesh), and unlike the residual it ignores conditioning.
 COCG_TOL = 1e-12
 COCG_MAXIT = 500
-RESIDUAL_BOUND = 100 * COCG_TOL
+BACKWARD_ERROR_FACTOR = 1.0
 
 # order-2 rule: barycentric points (2/3,1/6,1/6) and permutations, weight 1/3
 _Q2 = np.array([[2 / 3, 1 / 6, 1 / 6],
@@ -237,9 +239,10 @@ class _MappedProblem:
 
     The first _solve factors A(0) (linalg.nominal_factor, by FFT or LU as
     the mesh's ring layout allows); each sample then runs CG (COCG for the
-    complex Helmholtz matrix) preconditioned by it, and its info names the
-    nominal solve ("nominal") and that factor's fill ("nominal_fill").
-    assemble never factors.
+    complex Helmholtz matrix) preconditioned by it, is rejected when its
+    backward error exceeds BACKWARD_ERROR_FACTOR tol, and its info names
+    the nominal solve ("nominal"), that factor's fill ("nominal_fill") and
+    the backward error ("backward_error").  assemble never factors.
     """
 
     _factor = None
@@ -318,8 +321,8 @@ class _MappedProblem:
 
     def _solve(self, y):
         """Nodal solution of A(y) u = b(y) to relative residual tol, zero on
-        the Dirichlet boundary, and the solver info; a failed solve raises
-        SolverError with y."""
+        the Dirichlet boundary, and the solver info; a failed or inaccurate
+        solve raises SolverError with y."""
         A, b = self.assemble(y)
         try:
             factor = self._nominal_factor()
@@ -327,7 +330,14 @@ class _MappedProblem:
                                    precond=factor.solve)
         except (NotConvergedError, SingularMatrixError, NotFiniteError) as exc:
             raise SolverError(f"COCG failed for y={np.asarray(y)!r}: {exc}", y) from exc
-        info.update(nominal=factor.method, nominal_fill=factor.fill)
+        # ||A(y)|| is taken as ||A(0)||_1; b = 0 gives x = 0 and eta = 0
+        bnorm = np.linalg.norm(b)
+        eta = info["residual"] * bnorm / (factor.norm * np.linalg.norm(u_int) + bnorm or 1.0)
+        bound = BACKWARD_ERROR_FACTOR * self.tol
+        if eta > bound:
+            raise SolverError(f"COCG failed for y={np.asarray(y)!r}: backward error "
+                              f"{eta:.3e} above {bound:.1e}", y)
+        info.update(nominal=factor.method, nominal_fill=factor.fill, backward_error=eta)
         u = np.zeros(self.mesh.n_vertices, dtype=u_int.dtype)
         u[self.interior] = u_int
         return u, info
@@ -341,8 +351,7 @@ class EllipticProblem(_MappedProblem):
     mesh via the pullback coefficients; the linear systems are SPD and go
     through conjugate gradients preconditioned by the nominal factor (a
     sparse LU on the square mesh, the azimuthal FFT solve on a disk mesh),
-    to relative residual cg_tol.  No true-residual bound is applied: at
-    alpha_i = 1000 it stagnates near 4e-8, hundreds of times cg_tol.
+    to relative residual cg_tol.
     """
 
     def __init__(self, mesh, dm, alpha_i, source=default_source, cg_tol=1e-10):
@@ -378,12 +387,11 @@ class HelmholtzProblem(_MappedProblem):
     applies the radial stretch rho -> rho (1 + i sigma0 ((rho-R)/t)^2) to
     it.  Nontrapping requires kappa_i^2/kappa_o^2 <= alpha_i.
 
-    Each sample runs COCG preconditioned by the nominal factor, to relative
-    residual COCG_TOL; a solve whose true residual exceeds RESIDUAL_BOUND
-    raises SolverError.  The mesh is a disk of circular rings, so the
-    nominal factor is the azimuthal FFT solve of linalg.nominal_factor.
-    solve returns the total field; it adds the incident wave where it is
-    read (see _TotalField).
+    Each sample runs COCG preconditioned by the nominal factor to relative
+    residual COCG_TOL (see _MappedProblem).  The mesh is a disk of circular
+    rings, so the nominal factor is the azimuthal FFT solve of
+    linalg.nominal_factor.  solve returns the total field; it adds the
+    incident wave where it is read (see _TotalField).
     """
 
     tol = COCG_TOL
@@ -396,6 +404,9 @@ class HelmholtzProblem(_MappedProblem):
                 f"{kappa_i**2 / kappa_o**2:.3g} > alpha_i = {alpha_i}")
         if len(mesh.circles) < 4:
             raise ValueError("transmission problem needs a mesh with an absorbing annulus")
+        if not pml_damping >= 0:
+            raise ValueError(f"pml_damping must be >= 0 (a negative one amplifies "
+                             f"the outgoing wave), got {pml_damping}")
         self.kappa_i = float(kappa_i)
         self.kappa_o = float(kappa_o)
         self.direction = np.asarray(direction, dtype=float)
@@ -467,10 +478,6 @@ class HelmholtzProblem(_MappedProblem):
 
     def solve(self, y):
         us, info = self._solve(y)
-        if info["residual"] > RESIDUAL_BOUND:
-            raise SolverError(
-                f"COCG failed for y={np.asarray(y)!r}: true residual "
-                f"{info['residual']:.3e} above {RESIDUAL_BOUND:.0e}", y)
         return _TotalField(self, y, us, info)
 
 

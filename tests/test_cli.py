@@ -240,6 +240,22 @@ def test_gen_data_mistyped_number_exit_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("over, named", [
+    ({"h_interface": -0.01}, "h_interface > 0"),
+    ({"h_interface": 0.0}, "h_interface > 0"),
+    ({"h_far": -0.15}, "h_far > 0"),
+    ({"problem": "helmholtz", "h_interface": None, "h_far": None, "pml_damping": -0.5},
+     "pml_damping"),
+])
+def test_gen_data_bad_mesh_size_or_damping_exit_2(tmp_path, capsys, over, named):
+    # rejected when the mesh or problem is built, before any sample is solved
+    path = write_config(tmp_path, **over)
+    assert cli.main(["gen-data", "--config", str(path), "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, spec, named", [
     ("train", {"out_dir": 5}, "out_dir"),
     ("gen-data", [{"d": 4}], "JSON object"),

@@ -55,6 +55,15 @@ def test_square_mesh_desk_scale_vertex_count():
     assert 8_000 <= mesh.n_vertices <= 15_000
 
 
+@pytest.mark.parametrize("sizes", [(-0.01, 0.12), (0.0, 0.12), (np.nan, 0.12),
+                                   (0.04, -0.12), (0.04, 0.0), (0.04, np.nan)])
+def test_builders_reject_bad_sizes(sizes):
+    with pytest.raises(MeshError, match="h_interface > 0 and h_far > 0"):
+        build_square_mesh(0.5, 0.125, 0.875, *sizes)
+    with pytest.raises(MeshError, match="h_interface > 0 and h_far > 0"):
+        build_disk_mesh(0.5, 0.125, 0.875, 0.1, *sizes)
+
+
 def test_rings_exactly_on_circles(square_coarse):
     rho = np.hypot(square_coarse.vertices[:, 0], square_coarse.vertices[:, 1])
     for c in (0.125, 0.5, 0.875):

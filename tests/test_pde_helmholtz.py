@@ -71,6 +71,8 @@ def test_no_scatterer_zero_scattered_field(mesh, dm):
     y = rng.uniform(-1, 1, 8)
     prob = HelmholtzProblem(mesh, dm, 1.0, KAPPA_O, KAPPA_O)
     field = prob.solve(y)
+    # b = 0, so x = 0 with a zero backward error
+    assert field.info["backward_error"] == 0.0
     # max |u_inc| = 1
     assert np.abs(field.scattered).max() <= 1e-3
     # at physical nodes the total field is the incident wave: amplitude 1
@@ -120,6 +122,14 @@ def test_nontrapping_rejected(mesh, dm):
         HelmholtzProblem(mesh, dm, 1.0, 2.0 * KAPPA_O, KAPPA_O)
 
 
+@pytest.mark.parametrize("damping", [-0.5, np.nan])
+def test_negative_pml_damping_rejected(mesh, dm, damping):
+    # a negative damping turns the absorbing layer into an amplifying one
+    with pytest.raises(ValueError, match="pml_damping"):
+        HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O, pml_damping=damping)
+    HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O, pml_damping=0.0)
+
+
 def test_requires_absorbing_layer(dm):
     bare = build_disk_mesh(R0, R0 / 4, R, 0.0, h_interface=LAM / 8, h_far=LAM / 8)
     with pytest.raises(ValueError):
@@ -150,13 +160,16 @@ def test_singular_nominal_factor_raises_solver_error(mesh, dm, monkeypatch):
     np.testing.assert_array_equal(err.value.y, y)
 
 
+def _both_problems(mesh, dm):
+    return [HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O),
+            pipeline.Workspace(pipeline.preset("desk-elliptic")).problem]
+
+
 def test_not_converged_raises_solver_error(mesh, dm, monkeypatch):
     # both problems stop at the one COCG_MAXIT
     monkeypatch.setattr(pde, "COCG_MAXIT", 2)
-    problems = [HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O),
-                pipeline.Workspace(pipeline.preset("desk-elliptic")).problem]
     y = np.full(8, 0.5)
-    for prob in problems:
+    for prob in _both_problems(mesh, dm):
         with pytest.raises(SolverError, match="did not converge in 2") as err:
             prob.solve(y)
         assert isinstance(err.value.__cause__, NotConvergedError)
@@ -164,18 +177,39 @@ def test_not_converged_raises_solver_error(mesh, dm, monkeypatch):
 
 
 def test_residual_above_bound_raises_solver_error(mesh, dm, monkeypatch):
-    monkeypatch.setattr(pde, "RESIDUAL_BOUND", 0.0)
-    prob = HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O)
+    # both problems share the one backward-error check
+    monkeypatch.setattr(pde, "BACKWARD_ERROR_FACTOR", 0.0)
     y = np.full(8, 0.1)
-    with pytest.raises(SolverError, match="true residual") as err:
-        prob.solve(y)
-    np.testing.assert_array_equal(err.value.y, y)
+    for prob in _both_problems(mesh, dm):
+        with pytest.raises(SolverError, match="backward error") as err:
+            prob.solve(y)
+        np.testing.assert_array_equal(err.value.y, y)
+
+
+def test_perturbed_solution_raises_solver_error(mesh, dm, monkeypatch):
+    # a solution 1e-6 off, relative, with its own true residual, is rejected
+    real = pde.cg_solve
+
+    def perturbed(A, b, **kwargs):
+        x, info = real(A, b, **kwargs)
+        noise = np.random.default_rng(3).standard_normal(x.shape)
+        x = x + 1e-6 * np.linalg.norm(x) / np.linalg.norm(noise) * noise
+        info["residual"] = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        return x, info
+
+    monkeypatch.setattr(pde, "cg_solve", perturbed)
+    y = np.full(8, -0.3)
+    for prob in _both_problems(mesh, dm):
+        with pytest.raises(SolverError, match="backward error") as err:
+            prob.solve(y)
+        np.testing.assert_array_equal(err.value.y, y)
 
 
 def test_solver_stats_recorded(mesh, dm):
-    field = HelmholtzProblem(mesh, dm, 10.0, 0.8 * KAPPA_O, KAPPA_O).solve(np.full(8, 0.4))
-    assert 0 < field.info["iterations"] <= 30
-    assert 0.0 < field.info["residual"] <= pde.RESIDUAL_BOUND
+    for prob in _both_problems(mesh, dm):
+        info = prob.solve(np.full(8, 0.4)).info
+        assert 0 < info["iterations"] <= 30
+        assert 0.0 <= info["backward_error"] <= pde.BACKWARD_ERROR_FACTOR * prob.tol
 
 
 # ----------------------- nominal-LU CG/COCG of both problems vs the direct solve
