@@ -1,22 +1,16 @@
 """Sparse solvers used by the finite element discretizations.
 
-Matrices are scipy CSR (row offsets, column indices, values); Helmholtz
-systems are stored as native complex CSR rather than a 2n x 2n real block
-form.  The preconditioned conjugate gradient loop is written out so iteration
-counts, the preconditioned residual history and the true final residual are
-available to callers and tests.  Its inner products are unconjugated, so on
-a complex-symmetric matrix (A = A^T, not Hermitian) the same loop is the
-conjugate orthogonal CG method (COCG).  Both problems run it preconditioned
-by the exact inverse of their nominal matrix A(0), from nominal_factor,
-which picks one of two solves by what the mesh shows.  On a mesh whose
-rings are all circles A(0) is block-circulant in azimuth: an FFT along each
-ring turns it into one tridiagonal system in the ring index per azimuthal
-mode, factored together once (the Fourier-analysis fast solver, Hockney
-1965).  Any other mesh, such as the square one whose outer rings blend
-into the square, takes a sparse LU factorization of A(0).
-lu_solve is the one-shot direct solver, with partial pivoting and an
-explicit zero-pivot check, kept as the reference the iterative path is
-tested against.
+Matrices are scipy CSR, complex for Helmholtz rather than a 2n x 2n real
+block form.  The conjugate gradient loop is written out so iteration counts,
+the preconditioned residual history and the true final residual reach
+callers and tests; its products are unconjugated, so on a complex-symmetric
+matrix (A = A^T, not Hermitian) it is the conjugate orthogonal CG (COCG).
+Both problems precondition it by the exact inverse of their nominal matrix
+A(0) from nominal_factor: on a mesh whose rings are all circles, an FFT
+along the rings and a Thomas sweep over the ring-major mode systems (the
+Fourier-analysis fast solver, Hockney 1965); on any other mesh, such as the
+square one, a sparse LU.  lu_solve is the one-shot direct solver, the
+reference the iterative path is tested against.
 """
 
 import math
@@ -51,9 +45,9 @@ CIRCULANT_TOL = 1e-12
 
 
 class NominalFactor(NamedTuple):
-    """A factored nominal matrix: method "fft" (azimuthal FFT and mode
-    solve) or "lu" (sparse LU), the stored L + U entries of the system it
-    factored, solve, r -> A(0)^-1 r, and norm, the 1-norm of A(0)."""
+    """A factored nominal matrix: method "fft" (azimuthal FFT and Thomas
+    sweep) or "lu" (sparse LU), fill, the entries it stores (L + U, or 3
+    (nring + 1) m), solve, r -> A(0)^-1 r, and norm, the 1-norm of A(0)."""
 
     method: str
     fill: int
@@ -152,10 +146,10 @@ def nominal_factor(A, rings):
     when an entry is more than CIRCULANT_TOL max|A| from its class mean or
     couples rings more than one apart.  A unitary DFT along the azimuth
     then turns A into one tridiagonal system in the ring index per mode,
-    mode 0 also carrying the centre vertex; these are ordered centre first,
-    then mode by mode, and factored as one matrix by splu with NATURAL
-    ordering, so the factor keeps the band.  Raises SingularMatrixError
-    when a mode system has an exactly zero pivot.
+    mode 0 also carrying the centre vertex.  One Thomas recurrence over the
+    rings, vectorised across modes, factors them all; an apply is an FFT, two
+    sweeps and an inverse FFT.  It does not pivot: a pivot not finite or not
+    above 1e-14 max|eigenvalue| raises SingularMatrixError naming mode and ring.
     """
     norm = float(abs(A).sum(axis=0).max())  # 1-norm: largest column sum
     if nominal_method(rings) == "lu":
@@ -194,28 +188,41 @@ def nominal_factor(A, rings):
                          f"from its class mean, above {bound:.2e}")
     # eigenvalues sum_s c_s e^(2 pi i p s / m) of each circulant block, (nring, 3, m)
     lam = m * np.fft.ifft(mean[3:].reshape(nring, 3, m), axis=-1)
-    idx = 1 + np.arange(m)[:, None] * nring + np.arange(nring)  # mode p, ring k
-    root = np.sqrt(m)
-    rows = np.concatenate([[0, 0, 1], idx.ravel(), idx[:, :-1].ravel(), idx[:, 1:].ravel()])
-    cols = np.concatenate([[0, 1, 0], idx.ravel(), idx[:, 1:].ravel(), idx[:, :-1].ravel()])
-    vals = np.concatenate([[mean[0], root * mean[1], root * mean[2]], lam[:, 1].T.ravel(),
-                           lam[:-1, 2].T.ravel(), lam[1:, 0].T.ravel()])
-    lu = _splu(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)), "NATURAL")
+    # mode p's tridiagonal system is column p of these ring-major arrays: row 0
+    # the centre (an identity row but in mode 0), row k + 1 ring k
+    diag = np.ones((nring + 1, m), dtype=complex)
+    lower, upper = np.zeros_like(diag), np.zeros_like(diag)
+    diag[0, 0], upper[0, 0], lower[1, 0] = mean[0], np.sqrt(m) * mean[1], np.sqrt(m) * mean[2]
+    diag[1:], upper[1:-1], lower[2:] = lam[:, 1], lam[:-1, 2], lam[1:, 0]
+    floor = 1e-14 * np.abs(lam).max(initial=0.0)  # lu_solve's relative floor
+    # Thomas: diag becomes the pivots and upper is scaled by them; lower[0]
+    # and upper[-1] are 0, so row 0 is left as it is
+    for j in range(nring + 1):
+        diag[j] -= lower[j] * upper[j - 1]
+        ok = np.isfinite(diag[j]) & (np.abs(diag[j]) > floor)
+        if not ok.all():
+            p = int(np.argmin(ok))
+            raise SingularMatrixError(f"mode {p} has pivot {abs(diag[j, p]):.3e} at ring "
+                                      f"{j - 1} (-1 is the centre), not above {floor:.3e}")
+        upper[j] /= diag[j]
+    inv, lower = 1.0 / diag, lower / diag
     real = not np.iscomplexobj(val)
 
     def solve(r):
-        modes = np.empty(n, dtype=complex)
-        modes[0] = r[0]
-        modes[1:].reshape(m, nring)[:] = np.fft.fft(r[1:].reshape(nring, m),
-                                                    axis=1, norm="ortho").T
-        modes = lu.solve(modes)
+        z = np.empty((nring + 1, m), dtype=complex)
+        z[0], z[0, 0] = 0.0, r[0]
+        np.fft.fft(r[1:].reshape(nring, m), axis=1, norm="ortho", out=z[1:])
+        z *= inv
+        for j in range(1, nring + 1):
+            z[j] -= lower[j] * z[j - 1]
+        for j in range(nring - 1, -1, -1):
+            z[j] -= upper[j] * z[j + 1]
         x = np.empty(n, dtype=complex)
-        x[0] = modes[0]
-        x[1:].reshape(nring, m)[:] = np.fft.ifft(modes[1:].reshape(m, nring).T,
-                                                 axis=1, norm="ortho")
+        x[0] = z[0, 0]
+        np.fft.ifft(z[1:], axis=1, norm="ortho", out=x[1:].reshape(nring, m))
         return x.real if real else x
 
-    return NominalFactor("fft", lu.nnz, solve, norm)
+    return NominalFactor("fft", 3 * inv.size, solve, norm)
 
 
 def lu_solve(A, b):

@@ -23,7 +23,7 @@ factor A(0) once and solve each sample by CG preconditioned by that factor
 (mean-based preconditioning, Powell & Elman 2009).  linalg.nominal_factor
 picks the factor by what the mesh shows: on a mesh whose rings are all
 circles (every disk mesh) A(0) is block-circulant in azimuth and is solved
-by an FFT along the rings and one banded mode solve; on any other mesh,
+by an FFT along the rings and a Thomas sweep over the modes; on any other mesh,
 the square one among them, by a sparse LU of A(0).  Both problems check a
 solution by its normwise backward error (Rigal & Gaches 1967).
 

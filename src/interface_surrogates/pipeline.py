@@ -121,6 +121,9 @@ class ExperimentConfig:
                     f"cg_tol = {self.cg_tol:g} has no effect on helmholtz, "
                     f"whose solves stop at {COCG_TOL:g}; leave it at its default")
             ko, ki = self.wavenumbers()
+            for name, value in (("kappa_o", ko), ("kappa_i", ki)):
+                if not (np.isfinite(value) and value > 0):
+                    raise PipelineError(f"{name} must be a finite number > 0, got {value!r}")
             if ki**2 / ko**2 > self.alpha_i + 1e-12:
                 raise PipelineError(
                     f"trapping configuration: (kappa_i/kappa_o)^2 = "

@@ -256,6 +256,16 @@ def test_gen_data_bad_mesh_size_or_damping_exit_2(tmp_path, capsys, over, named)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kappa_o", [-50.0, 0.0])
+def test_gen_data_bad_wavenumber_exit_2(tmp_path, capsys, kappa_o):
+    # rejected with the field's name when the config is read
+    path = write_config(tmp_path, problem="helmholtz", kappa_o=kappa_o)
+    assert cli.main(["gen-data", "--config", str(path), "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "kappa_o" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, spec, named", [
     ("train", {"out_dir": 5}, "out_dir"),
     ("gen-data", [{"d": 4}], "JSON object"),

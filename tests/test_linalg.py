@@ -147,11 +147,11 @@ def test_lu_factor_detects_exact_singularity():
         nominal_factor(A, None)
 
 
-def polar_stencil(m, nring, complex_shift=0.0):
+def polar_stencil(m, nring, complex_shift=0.0, diagonal=6.0):
     """Symmetric block-circulant matrix on a centre plus nring rings of m
     vertices, numbered as a ring mesh's interior dofs: each ring couples to
     its azimuth neighbours, to the next ring at azimuth offsets 0 and +1
-    and, ring 0, to the centre."""
+    and, ring 0, to the centre; ring k's diagonal is diagonal + k."""
     n = 1 + nring * m
     vid = lambda k, i: 1 + k * m + i % m
     A = sp.lil_matrix((n, n), dtype=complex)
@@ -159,13 +159,22 @@ def polar_stencil(m, nring, complex_shift=0.0):
     for i in range(m):
         A[0, vid(0, i)] = A[vid(0, i), 0] = -0.5
         for k in range(nring):
-            A[vid(k, i), vid(k, i)] = 6.0 + k + 1j * complex_shift * (k + 1)
+            A[vid(k, i), vid(k, i)] = diagonal + k + 1j * complex_shift * (k + 1)
             A[vid(k, i), vid(k, i + 1)] = A[vid(k, i + 1), vid(k, i)] = -1.0
             if k + 1 < nring:
                 A[vid(k, i), vid(k + 1, i)] = A[vid(k + 1, i), vid(k, i)] = -1.5
                 A[vid(k, i), vid(k + 1, i + 1)] = A[vid(k + 1, i + 1), vid(k, i)] = -0.25
     A = A.tocsr()
     return A if complex_shift else A.real
+
+
+def mode_system(A, m, nring, p):
+    """The nring x nring tridiagonal system of azimuthal mode p != 0 of a
+    block-circulant A, by projecting A onto that mode's Fourier vectors."""
+    V = np.zeros((A.shape[0], nring), dtype=complex)
+    for k in range(nring):
+        V[1 + k * m:1 + (k + 1) * m, k] = np.exp(2j * np.pi * p * np.arange(m) / m) / np.sqrt(m)
+    return V.conj().T @ A.toarray() @ V
 
 
 def test_nominal_method_follows_ring_layout():
@@ -215,6 +224,43 @@ def test_nominal_factor_fft_detects_singular_mode_system():
     A = sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n))
     with pytest.raises(SingularMatrixError):
         nominal_factor(A, RingLayout(m, nring + 1, nring + 1))
+
+
+def test_nominal_factor_fft_detects_one_singular_mode():
+    # shift the last ring's diagonal by mode p's last pivot: that mode
+    # system alone turns singular.  A = A^T gives modes p and m - p the same
+    # pivots, so p is m / 2, its own partner
+    m, nring, p = 8, 3, 4
+    A = polar_stencil(m, nring, 0.7)
+    M = mode_system(A, m, nring, p)
+    last_pivot = 1 / np.linalg.inv(M)[-1, -1]
+    A = A.tolil()
+    for i in range(1 + (nring - 1) * m, 1 + nring * m):
+        A[i, i] -= last_pivot
+    A = A.tocsr()
+    singular_values = np.linalg.svd(A.toarray(), compute_uv=False)
+    # one singular direction, so one mode system is singular
+    assert singular_values[-1] <= 1e-13 * singular_values[0]
+    assert singular_values[-2] >= 1e-6 * singular_values[0]
+    with pytest.raises(SingularMatrixError, match=f"mode {p} .* ring {nring - 1}"):
+        nominal_factor(A, RingLayout(m, nring + 1, nring + 1))
+
+
+def test_nominal_factor_fft_solves_indefinite_mode_systems():
+    # a small diagonal: the mode systems are indefinite and not diagonally
+    # dominant, so the unpivoted recurrence meets pivots of either sign
+    m, nring = 8, 5
+    A = polar_stencil(m, nring, diagonal=0.5)
+    dense = A.toarray()
+    eigenvalues = np.linalg.eigvalsh(dense)
+    assert eigenvalues.min() < 0 < eigenvalues.max()
+    M = mode_system(A, m, nring, 1)
+    off = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
+    assert np.any(np.abs(np.diag(M)) < off)
+    factor = nominal_factor(A, RingLayout(m, nring + 1, nring + 1))
+    b = np.random.default_rng(6).standard_normal(A.shape[0])
+    exact = np.linalg.solve(dense, b)
+    assert np.linalg.norm(factor.solve(b) - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_assemble_sums_duplicates():

@@ -107,6 +107,17 @@ def test_config_accepts_numbers_of_any_type():
     assert cfg.data_hash() == pl.ExperimentConfig(d=4, p=2, alpha_i=5.0).data_hash()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("kappa_o", -50.0), ("kappa_o", 0.0), ("kappa_o", float("inf")), ("kappa_o", float("nan")),
+    ("kappa_i", -1.0), ("kappa_i", 0.0), ("kappa_i", float("nan"))])
+def test_helmholtz_rejects_bad_wavenumber(field, value):
+    # named when the config is built, not later by the mesh sizes it implies
+    with pytest.raises(pl.PipelineError, match=f"{field} must be a finite number > 0"):
+        pl.ExperimentConfig(problem="helmholtz", **{field: value})
+    with pytest.raises(pl.PipelineError, match=field):
+        dataclasses.replace(pl.preset("desk-helmholtz"), **{field: value})
+
+
 def test_helmholtz_rejects_cg_tol():
     # Helmholtz solves stop at pde.COCG_TOL, so a cg_tol there would be ignored
     with pytest.raises(pl.PipelineError, match="cg_tol"):
