@@ -21,12 +21,13 @@ The series is evaluated without sines or cosines: at z = exp(i phi) it is
 Re sum_k w_k z^k with w_k linear in y, and the powers z^k follow from
 complex products.  The map functions take z = (x1 + i x2)/|x| from the
 points themselves, so a sample costs no angle and no transcendental call.
+rotated_series sums it at P points and their m rotations by 2 pi a / m,
+from tables built once (rotation_tables), as one matmul; the assembly's
+mollifier band reads it there.
 
 In the polar frame Q = [e_rho, e_phi] the Jacobian is upper triangular,
-DPhi = Q [[g, m01], [0, m11]] Q^T, and Phi is the points times m11.
-map_jacobian(..., polar=True) returns cos phi, sin phi, g, m01 and m11
-from one series evaluation, so an assembly reads its pullback metric,
-detDPhi, adj(DPhi) and Phi off five arrays instead of a (n, 2, 2) DPhi.
+DPhi = Q [[g, m01], [0, m11]] Q^T, detDPhi = g m11 and Phi is the points
+times m11; map_jacobian forms DPhi from these polar factors (polar_jacobian).
 """
 
 import numpy as np
@@ -95,34 +96,57 @@ def max_shape_variation(model):
     return model.amplitude() / model.r0
 
 
-def _series(model, y, z, derivative=True):
-    """r - r0 and dr/dphi at unit complex numbers z = exp(i phi), any shape;
-    r - r0 alone with derivative=False.
-
-    With w_k = c_k - i s_k the series is Re sum_k w_k z^k and its angular
-    derivative Re sum_k i k w_k z^k; the powers z^k come from complex
-    products by doubling, so no sine or cosine is evaluated.
-    """
+def _weights(model, y):
+    """(w_k, i k w_k), (2, d/2), of a sample y checked for shape and range:
+    the series is Re sum_k w_k z^k and its angular derivative Re sum_k i k w_k
+    z^k, with w_k = c_k - i s_k (c_k multiplies cos(k phi), s_k sin(k phi))."""
     y = np.asarray(y, dtype=float)
     if y.shape != (model.d,):
         raise GeometryError(f"sample shape {y.shape} does not match d={model.d}")
     if np.abs(y).max() > 1.0 + 1e-12:
         raise GeometryError("sample entries must lie in [-1, 1]")
-    z = np.asarray(z, dtype=complex)
-    m = model.d // 2
-    # c_k multiplies cos(k phi), s_k multiplies sin(k phi)
     w = model.b[1::2] * y[1::2] - 1j * (model.b[0::2] * y[0::2])
-    powers = np.empty((m, z.size), dtype=complex)
-    powers[0] = z.ravel()
+    return np.array([w, 1j * np.arange(1, w.size + 1) * w])
+
+
+def _powers(z, n):
+    """Powers z^1 ... z^n, (n, z.size), of complex numbers z, by doubling products."""
+    powers = np.empty((n, np.size(z)), dtype=complex)
+    powers[0] = np.ravel(z)
     done = 1
-    while done < m:
-        step = min(done, m - done)
+    while done < n:
+        step = min(done, n - done)
         powers[done:done + step] = powers[:step] * powers[done - 1]
         done += step
-    if not derivative:
-        return (w @ powers).real.reshape(z.shape)
-    shift, dr = (np.stack([w, 1j * np.arange(1, m + 1) * w]) @ powers).real
-    return shift.reshape(z.shape), dr.reshape(z.shape)
+    return powers
+
+
+def _series(model, y, z, derivative=True):
+    """r - r0 and dr/dphi at unit complex numbers z = exp(i phi), any shape;
+    r - r0 alone with derivative=False."""
+    series = (_weights(model, y)[:1 + derivative] @ _powers(z, model.d // 2)).real
+    series = series.reshape(-1, *np.shape(z))
+    return series if derivative else series[0]
+
+
+def rotation_tables(z, m, n):
+    """rotated_series' tables for unit complex numbers z, m rotations and n =
+    d/2 terms: powers z.shape + (n,), z^k, and omega (2 n, m), e^(2 pi i k a /
+    m) with the real and imaginary part of each k in two rows, k a reduced mod
+    m so that any k is exact."""
+    omega = np.exp(2j * np.pi * (np.outer(np.arange(1, n + 1), np.arange(m)) % m) / m)
+    omega = np.stack([omega.real, omega.imag], axis=1).reshape(-1, m)
+    return np.ascontiguousarray(_powers(z, n).T.reshape(*np.shape(z), n)), omega
+
+
+def rotated_series(model, y, powers, omega):
+    """r - r0 and dr/dphi, (2, *z.shape, m), at z e^(2 pi i a / m) for the
+    unit complex numbers z of rotation_tables and a = 0 ... m - 1: Re sum_k
+    (w_k z^k) e^(2 pi i k a / m) and the same with i k w_k, the real part of
+    one complex matmul, taken as one real matmul."""
+    # conj(a) as floats holds Re a_k, -Im a_k in turn
+    a = np.conj(_weights(model, y)[:, None] * powers.reshape(-1, powers.shape[-1]))
+    return (a.view(float) @ omega).reshape(2, *powers.shape[:-1], omega.shape[1])
 
 
 def radius(model, y, phi):
@@ -252,7 +276,7 @@ def polar_jacobian(cs, sn, g_rho, m01, m11):
     return jac.reshape(-1, 2, 2)
 
 
-def map_jacobian(dm, y, points, band=None, *, polar=False):
+def map_jacobian(dm, y, points, band=None):
     """Jacobian DPhi(y; .) at points of shape (n, 2), returned as (n, 2, 2).
 
     In the frame (e_rho, e_phi) the Jacobian is upper triangular with
@@ -262,12 +286,6 @@ def map_jacobian(dm, y, points, band=None, *, polar=False):
     branch at a breakpoint circle is ambiguous; the band argument selects it
     (mesh region tags provide it), otherwise it is inferred and points
     sitting on a breakpoint are rejected.
-
-    With polar=True the result is the tuple (cos phi, sin phi, g, m01, m11)
-    of (n,) arrays instead; polar_jacobian turns it into DPhi.  Phi is the
-    points times m11, which agrees with map_forward to rounding (the angle
-    factor z is formed in another order).  Points where the map is the
-    identity get (1, 0, 1, 0, 1).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rho = np.hypot(points[:, 0], points[:, 1])
@@ -285,7 +303,7 @@ def map_jacobian(dm, y, points, band=None, *, polar=False):
             moved = _band_factors(dm, y, points[active], rho[active], band[active])
             for full, part in zip(factors, moved):
                 full[active] = part
-    return factors if polar else polar_jacobian(*factors)
+    return polar_jacobian(*factors)
 
 
 def map_inverse(dm, y, points):

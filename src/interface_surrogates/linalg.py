@@ -13,6 +13,7 @@ square one, a sparse LU.  lu_solve is the one-shot direct solver, the
 reference the iterative path is tested against.
 """
 
+import cmath
 import math
 from typing import Callable, NamedTuple
 
@@ -76,8 +77,8 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
     and M in exact arithmetic; the final residual, which is never
     preconditioned, has none) and the true final residual ||b - A x|| /
     ||b||, which costs one more product with A.  Raises NotConvergedError
-    past maxit and NotFiniteError when the residual or x stops being
-    finite.
+    past maxit and NotFiniteError when r^T M^-1 r (tested before the
+    product with A that would use it), the residual or x is not finite.
     """
     A = A if sp.issparse(A) else sp.csr_matrix(A)
     b = np.asarray(b)
@@ -89,11 +90,15 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
         return x, {"iterations": 0, "residual_norms": [], "residual": 0.0}
 
     real = not np.iscomplexobj(x)
-    z = precond(r)
-    p = z.copy()
-    rz = r @ z
-    history = [np.sqrt(abs(rz))]
+    history = []
     for it in range(1, maxit + 1):
+        z = precond(r)
+        rz_new = r @ z
+        if not cmath.isfinite(rz_new):
+            raise NotFiniteError(f"non-finite preconditioned residual at iteration {it}")
+        history.append(np.sqrt(abs(rz_new)))
+        p = z.copy() if it == 1 else z + (rz_new / rz) * p
+        rz = rz_new
         Ap = A @ p
         pAp = p @ Ap
         if pAp == 0 or (real and pAp < 0):
@@ -111,12 +116,6 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
             residual = np.linalg.norm(b - A @ x) / bnorm
             return x, {"iterations": it, "residual_norms": history,
                        "residual": float(residual)}
-        z = precond(r)
-        rz_new = r @ z
-        history.append(np.sqrt(abs(rz_new)))
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
     raise NotConvergedError(maxit, np.linalg.norm(r) / bnorm)
 
 

@@ -13,12 +13,14 @@ chi-branch of each triangle resolves the one-sided Jacobian at the
 mollifier breakpoints.  Phi is the identity outside the two mollifier
 bands, so only band triangles move with y: the CSR pattern, the slot of
 every element-matrix entry in it and the sums over all other triangles are
-built once per problem, and a sample adds its band triangles with bincount.
-Every triangle is read off the polar factors of its Jacobian (map_jacobian
-with polar=True in the band, the identity or the absorbing layer's radial
-stretch elsewhere): the stiffness needs only the quadrature-averaged
-pullback metric, three numbers per triangle, and no 2 x 2 Jacobian is formed.
-For the same reason A(y) stays close to the nominal A(0): both problems
+built once per problem.  The band fills strips between circular rings, so a
+band triangle is one of two per-strip templates rotated by 2 pi a / m, with
+its template's data in the polar frame of each quadrature point.  A sample
+sums the interface series at all rotations of the template points with one
+matmul, forms the polar pullback metric and detDPhi there (no 2 x 2
+Jacobian, no rotation), contracts them with per-template weights in one
+batched matmul and adds the result to the CSR values with bincount.  Since
+only the band moves, A(y) stays close to the nominal A(0): both problems
 factor A(0) once and solve each sample by CG preconditioned by that factor
 (mean-based preconditioning, Powell & Elman 2009).  linalg.nominal_factor
 picks the factor by what the mesh shows: on a mesh whose rings are all
@@ -48,7 +50,11 @@ from .geometry import (
     kink_hyperplane,
     map_forward,
     map_inverse,
-    map_jacobian,
+    map_jacobian,  # not called here; benchmark/tracing.py wraps pde.map_jacobian
+    mollifier,
+    mollifier_slope,
+    rotated_series,
+    rotation_tables,
 )
 from .linalg import (
     NotConvergedError,
@@ -59,7 +65,7 @@ from .linalg import (
     lu_solve,  # not called here; benchmark/tracing.py wraps pde.lu_solve
     nominal_factor,
 )
-from .mesh import REGION_INNER
+from .mesh import REGION_INNER, MeshError
 
 
 class SolverError(RuntimeError):
@@ -88,6 +94,7 @@ _W2 = np.full(3, 1 / 3)
 # mass weights W2[q] phi_i(q) phi_j(q) of that rule, as a (3, 9) matrix,
 # and load weights W2[q] phi_i(q), as a (3, 3) matrix
 _MASS = np.einsum("q,qi,qj->qij", _W2, _Q2, _Q2).reshape(3, 9)
+_I, _J = np.divmod(np.arange(9), 3)  # (i, j) of element-matrix entry 3 i + j
 _LOAD = _W2[:, None] * _Q2
 
 # order-4 rule (6 points), used for error integrals only
@@ -114,22 +121,14 @@ def circle_points(r0, n):
     return r0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _metric(cs, sn, g, m01, m11):
-    """Averaged pullback metric Kbar = [[Kxx, Kxy], [Kxy, Kyy]], (t,) each,
-    and detDPhi (3, t) of t triangles, from the polar factors (3, t) of DPhi
-    = Q [[g, m01], [0, m11]] Q^T, Q the rotation by phi, at their points."""
-    # pullback metric [[k00, k01], [k01, k11]] of [[g, m01], [0, m11]]
+def _metric(g, m01, m11):
+    """K (T, 12, c): in row 3 r + q, for r = 0 ... 3, the polar pullback
+    metric [[k00, k01], [k01, k11]] and detDPhi at point q, from the polar
+    factors (T, 3, c) of DPhi = Q [[g, m01], [0, m11]] Q^T there."""
     k01 = -m01 / m11
     k11 = g / m11
     k00 = (m11 - m01 * k01) / g
-    # rotated by phi: Kxx, Kyy = mean +- half and Kxy = off, with
-    # cos 2 phi = c2 and sin 2 phi = s2
-    c2, s2 = cs * cs - sn * sn, 2 * cs * sn
-    mean, diff = (k00 + k11) / 2, (k00 - k11) / 2
-    half, off = diff * c2 - k01 * s2, diff * s2 + k01 * c2
-    # averaged over the three quadrature points (equal weights)
-    mean, half, off = ((a[0] + a[1] + a[2]) / 3 for a in (mean, half, off))
-    return mean + half, off, mean - half, g * m11
+    return np.concatenate([k00, k01, k11, g * m11], axis=1)
 
 
 class ScalarField:
@@ -185,35 +184,50 @@ def _bincount(slots, vals, n):
 
 
 class _Elements:
-    """P1 data of a set of triangles, triangle index last.
-
-    tris lists the triangles inside the interface first; n_inner counts
-    them.  area is (t,); gx and gy (3, t) are the gradients of the
-    barycentric coordinates; quad (3 t, 2) holds the quadrature points
-    quadrature-major (point q of triangle k is row q t + k), so a sum over
-    q is two adds of (t,) rows; slots (9, t) is the CSR slot of
-    element-matrix entry (i, j) in row 3 i + j, and dof_slots (3, t) the
-    load slot of vertex i.
-    """
+    """P1 data of triangles tris (T, c): copy a of template t is tris[t, a],
+    tris[t, 0] rotated by 2 pi a / c (c = 1: each triangle its own template).
+    The n_inner templates inside the interface (inner) come first.  area is
+    (T,); x (T, 3) the quadrature points of copy 0 as x1 + i x2, rho and z
+    their moduli and phases, and copy a's are x rotation[a]; grad (2, T, 3,
+    3) the radial and angular components of the gradient of coordinate i at
+    point q, in row (q, i), the same for every copy; slots (T, 9, c) the CSR
+    slot of entry (i, j) of copy a in row 3 i + j, dof_slots (T, 3, c) that
+    of vertex i."""
 
     def __init__(self, mesh, tris, area, slots, dof_slots):
-        inside = mesh.region[tris] == REGION_INNER
-        self.tris = tris[np.argsort(~inside, kind="stable")]
+        inside = mesh.region[tris[:, 0]] == REGION_INNER
+        tris = tris[np.argsort(~inside, kind="stable")]
         self.n_inner = int(np.count_nonzero(inside))
-        self.size = self.tris.size
-        v = mesh.vertices[mesh.triangles[self.tris]]  # (t, 3, 2)
-        x, y = v[..., 0].T, v[..., 1].T
-        self.area = area[self.tris]
-        twice = 2 * self.area
-        self.gx = (y[[1, 2, 0]] - y[[2, 0, 1]]) / twice
-        self.gy = (x[[2, 0, 1]] - x[[1, 2, 0]]) / twice
-        self.quad = (_Q2 @ v).transpose(1, 0, 2).reshape(-1, 2)
-        self.slots = np.ascontiguousarray(slots[self.tris].T)
-        self.dof_slots = np.ascontiguousarray(dof_slots[self.tris].T)
+        self.size, c = tris.shape
+        self.inner = np.arange(self.size) < self.n_inner
+        self.band = mesh.band[tris[:, 0]]
+        v = mesh.vertices.view(complex)[mesh.triangles[tris[:, 0]], 0]  # (T, 3)
+        self.area = area[tris[:, 0]]
+        self.x = v @ _Q2.T
+        self.rho, self.z = np.abs(self.x), np.exp(1j * np.angle(self.x))  # z = 1 at 0
+        # gradient gx + i gy of coordinate i, in the polar frame of point q
+        grad = 1j * (v[:, [2, 0, 1]] - v[:, [1, 2, 0]]) / (2 * self.area[:, None])
+        polar = np.conj(self.z[:, :, None]) * grad[:, None, :]
+        self.grad = np.array([polar.real, polar.imag])
+        self.rotation = np.exp(2j * np.pi * np.arange(c) / c)
+        self.slots = np.ascontiguousarray(slots[tris].transpose(0, 2, 1))
+        self.dof_slots = np.ascontiguousarray(dof_slots[tris].transpose(0, 2, 1))
 
-    def region_values(self, inside, outside):
-        """Per-triangle values: inside for the first n_inner triangles, outside after."""
-        return np.where(np.arange(self.size) < self.n_inner, inside, outside)
+
+def _ring_templates(mesh, mask):
+    """The triangles of mask as (rotations (T, m), rest (S, 1)): on a ring
+    mesh, the fan and each strip between circular rings that mask covers
+    whole are m rotations of a template; rest holds the others."""
+    if mesh.rings is None:
+        return np.empty((0, 1), dtype=np.int64), np.nonzero(mask)[0][:, None]
+    m, count, circles = mesh.rings
+    # fan triangle a, and triangle m + 2 m s + 2 a + j of the strip between
+    # rings s and s + 1, are copy a of template 0 and of template 1 + 2 s + j
+    strips = m + 2 * m * np.arange(count - 1)[:, None, None] + np.arange(2)[:, None]
+    tris = np.concatenate([np.arange(m)[None], (strips + 2 * np.arange(m)).reshape(-1, m)])
+    tris = tris[mask[tris].all(axis=1) & (np.arange(2 * count - 1) < 2 * circles - 1)]
+    # the rest: triangles of mask that no template counts
+    return tris, np.flatnonzero(np.bincount(tris.ravel(), minlength=mask.size) < mask)[:, None]
 
 
 class _MappedProblem:
@@ -221,21 +235,17 @@ class _MappedProblem:
 
     A subclass sets its own fields, then calls __init__, which builds the
     Dirichlet dof numbering, the interior-dof CSR pattern and the _Elements
-    of the band triangles, the only ones that move with y, and sums the
-    others once.  The subclass defines
+    of the band's ring templates, the only triangles that move with y, and
+    sums the others once.  The subclass defines
       tol: the relative residual at which its solves stop;
-      _coefficients(el): alpha area and kappa2 area per triangle of an
+      _coefficients(el): alpha area and kappa2 area per template of an
         _Elements, with None for a kappa2 that vanishes, so that no mass
         term is formed;
-      _load(el, cs, sn, g, m01, m11): el's summed load vector, given the
-        polar factors (3, t) of DPhi at its quadrature points;
+      _load(el, g, m01, m11): el's summed load vector, given the polar
+        factors (T, 3, c) of DPhi at its quadrature points;
     and may override _fixed_factors(el), the identity, with an absorbing
-    layer's stretch.  __init__ sums the fixed triangles from
-    _fixed_factors and keeps no per-triangle array of them; _assemble(y)
-    adds the band triangles from one map_jacobian(..., polar=True) call.
-    Both take the stiffness's averaged pullback metric Kbar from _metric;
-    with DPhi = Q [[g, m01], [0, m11]] Q^T, detDPhi = g m11 and Phi is the
-    points times m11, so no 2 x 2 Jacobian is formed.
+    layer's stretch.  The fixed triangles (once, in __init__) and the band
+    (per sample, in _band) share one kernel: _metric contracted with _weights.
 
     The first _solve factors A(0) (linalg.nominal_factor, by FFT or LU as
     the mesh's ring layout allows); each sample then runs CG (COCG for the
@@ -271,32 +281,52 @@ class _MappedProblem:
 
         area = mesh.areas()
         moving = (mesh.band == BAND_INNER) | (mesh.band == BAND_OUTER)
-        self.band = _Elements(mesh, np.nonzero(moving)[0], area, slots, dof_slots)
-        # chi branch of each band quadrature point, laid out like band.quad
-        self.band_tags = np.tile(mesh.band[self.band.tris], 3)
-        fixed = _Elements(mesh, np.nonzero(~moving)[0], area, slots, dof_slots)
-        factors = self._fixed_factors(fixed)
-        self._fixed = (self._values(fixed, self._coefficients(fixed), *_metric(*factors)),
-                       self._load(fixed, *factors))
-        self._band_coef = self._coefficients(self.band)
+        self._fixed = 0.0, 0.0
+        for tris in filter(np.size, _ring_templates(mesh, ~moving)):
+            el = _Elements(mesh, tris, area, slots, dof_slots)
+            factors = self._fixed_factors(el)
+            self._fixed = (self._fixed[0] + self._values(el, self._weights(el), _metric(*factors)),
+                           self._fixed[1] + self._load(el, *factors))
+        rotations, rest = _ring_templates(mesh, moving)
+        if rest.size:
+            raise MeshError("band triangles must fill strips between circles of a ring mesh")
+        el = self.band = _Elements(mesh, rotations, area, slots, dof_slots)
+        self._band_weights = self._weights(el)
+        self._rotations = rotation_tables(el.z, el.rotation.size, dm.model.d // 2)
+        # chi' per template and chi / rho per point, against (T, 3, m) grids
+        self._chi = (mollifier_slope(dm, el.rho, el.band[:, None])[..., None],
+                     (mollifier(dm, el.rho) / el.rho)[..., None])
 
-    def _values(self, el, coef, Kxx, Kxy, Kyy, det):
-        """CSR values of el's element matrices alpha area g_i^T Kbar g_j,
-        minus kappa2 area times the mass matrix of weight det (3, t), for
-        coef = (alpha area, kappa2 area or None) and the averaged pullback
-        metric Kbar = [[Kxx, Kxy], [Kxy, Kyy]] per triangle."""
-        alpha, kappa2 = coef
-        kxx, kxy, kyy = alpha * Kxx, alpha * Kxy, alpha * Kyy
-        gx, gy = el.gx, el.gy
-        # S[i, j] = g_i . (alpha area Kbar g_j)
-        S = gx[:, None] * (kxx * gx + kxy * gy) + gy[:, None] * (kxy * gx + kyy * gy)
-        if kappa2 is not None:
-            S -= (_MASS.T @ (kappa2 * det)).reshape(3, 3, -1)
-        return _bincount(el.slots, S, self.nnz)
+    def _weights(self, el):
+        """W (T, 9, 12): entry (i, j) of copy a of template t is (W @ K)[t, 3 i
+        + j, a] for the K of _metric, alpha area sum_q g_i^T Kq g_j / 3 minus
+        kappa2 area times the mass weights, with _coefficients' factors."""
+        alpha, kappa2 = self._coefficients(el)
+        # radial and angular gradient components of i and j, (T, q, 3 i + j)
+        ri, ai = el.grad[..., _I] * (alpha / 3)[:, None, None]
+        rj, aj = el.grad[..., _J]
+        mass = 0 * ri if kappa2 is None else -kappa2[:, None, None] * _MASS
+        W = np.stack([ri * rj, ri * aj + ai * rj, ai * aj, mass], axis=1)
+        return np.ascontiguousarray(W.reshape(-1, 12, 9).transpose(0, 2, 1))
+
+    def _values(self, el, W, K):
+        """CSR values of el's element matrices W @ K (see _weights)."""
+        if np.iscomplexobj(K):
+            return self._values(el, W, K.real) + 1j * self._values(el, W, K.imag)
+        return _bincount(el.slots, W @ K, self.nnz)
 
     def _fixed_factors(self, el):
-        """Polar factors (3, t) of the fixed triangles: the identity."""
-        return [np.full((3, el.size), f) for f in (1.0, 0.0, 1.0, 0.0, 1.0)]
+        """Polar factors (g, m01, m11), (T, 3, c), of fixed triangles: the identity."""
+        one = np.ones((el.size, 3, el.rotation.size))
+        return one, 0 * one, one
+
+    def _band(self, y):
+        """Polar factors (g, m01, m11), (T, 3, m), at the band points and the
+        band's CSR values, from one rotated_series call; (1, 0, 1) at y = 0."""
+        slope, chi = self._chi
+        shift, dr = rotated_series(self.dm.model, y, *self._rotations)
+        factors = 1.0 + slope * shift, chi * dr, 1.0 + chi * shift
+        return factors, self._values(self.band, self._band_weights, _metric(*factors))
 
     def _matrix(self, band_values):
         """CSR matrix of the fixed triangles plus the band triangles' values."""
@@ -304,18 +334,14 @@ class _MappedProblem:
                               self.indptr.copy()), shape=(self.n_int, self.n_int))
 
     def _assemble(self, y):
-        el = self.band
-        factors = [f.reshape(3, -1) for f in map_jacobian(
-            self.dm, y, el.quad, self.band_tags, polar=True)]
-        values = self._values(el, self._band_coef, *_metric(*factors))
-        return self._matrix(values), self._fixed[1] + self._load(el, *factors)
+        factors, values = self._band(y)
+        return self._matrix(values), self._fixed[1] + self._load(self.band, *factors)
 
     def _nominal_factor(self):
-        """linalg.NominalFactor of A(0): the map is the identity at y = 0, so
-        the band triangles take Kbar = I and detDPhi = 1, and no load."""
+        """linalg.NominalFactor of A(0): the band kernel at y = 0's identity factors."""
         if self._factor is None:
-            el = self.band
-            values = self._values(el, self._band_coef, 1.0, 0.0, 1.0, np.ones((3, el.size)))
+            values = self._values(self.band, self._band_weights,
+                                  _metric(*_MappedProblem._fixed_factors(self, self.band)))
             self._factor = nominal_factor(self._matrix(values), self.mesh.rings)
         return self._factor
 
@@ -360,12 +386,14 @@ class EllipticProblem(_MappedProblem):
         super().__init__(mesh, dm, alpha_i)
 
     def _coefficients(self, el):
-        return el.area * el.region_values(self.alpha_i, 1.0), None
+        return el.area * np.where(el.inner, self.alpha_i, 1.0), None
 
-    def _load(self, el, cs, sn, g, m01, m11):
+    def _load(self, el, g, m01, m11):
         # fhat = f(Phi(x)) detDPhi at the quadrature points, Phi(x) = x m11
-        fval = self.source(el.quad * m11.reshape(-1, 1)).reshape(3, -1) * (g * m11)
-        return _bincount(el.dof_slots, (_LOAD.T @ fval) * el.area, self.n_int)
+        x = el.x[..., None] * el.rotation * m11
+        fval = self.source(x.view(float).reshape(-1, 2)).reshape(x.shape)
+        bt = el.area[:, None, None] * (_LOAD.T @ (fval * (g * m11)))
+        return _bincount(el.dof_slots, bt, self.n_int)
 
     def assemble(self, y):
         """Stiffness matrix and load vector on interior dofs."""
@@ -418,20 +446,17 @@ class HelmholtzProblem(_MappedProblem):
         self._pml_mask = np.hypot(*mesh.vertices.T) > self.R + 1e-12
 
     def _coefficients(self, el):
-        return (el.area * el.region_values(self.alpha_i, 1.0),
-                el.area * el.region_values(self.kappa_i**2, self.kappa_o**2))
+        return (el.area * np.where(el.inner, self.alpha_i, 1.0),
+                el.area * np.where(el.inner, self.kappa_i**2, self.kappa_o**2))
 
     def _fixed_factors(self, el):
-        """The identity, but (cos phi, sin phi, d, 0, s) in the absorbing
-        layer, whose Jacobian is d e_rho e_rho^T + s e_phi e_phi^T."""
-        cs, sn, g, m01, m11 = super()._fixed_factors(el)
-        g, m11 = g.astype(complex), m11.astype(complex)
-        pml = self.mesh.band[el.tris] == BAND_PML
-        qp = el.quad.reshape(3, -1, 2)[:, pml]
-        rho = np.hypot(qp[..., 0], qp[..., 1])
-        cs[:, pml], sn[:, pml] = qp[..., 0] / rho, qp[..., 1] / rho
-        g[:, pml], m11[:, pml] = self._pml_stretch(rho)
-        return cs, sn, g, m01, m11
+        """The identity, but (d, 0, s) in the absorbing layer, whose Jacobian
+        is d e_rho e_rho^T + s e_phi e_phi^T."""
+        g, m01, m11 = (f.astype(complex) for f in super()._fixed_factors(el))
+        pml = el.band == BAND_PML
+        d, s = self._pml_stretch(el.rho[pml])
+        g[pml], m11[pml] = d[..., None], s[..., None]
+        return g, m01, m11
 
     def _pml_stretch(self, rho):
         """(d, s) = (drho~/drho, rho~/rho) of the complex stretch rho -> rho~
@@ -447,26 +472,24 @@ class HelmholtzProblem(_MappedProblem):
         amp = 2.0 * self.pml_damping * self.kappa_o * t
         return 1.0 + 1j * amp * tau**2, (rho + 1j * amp * t * tau**3 / 3.0) / rho
 
-    def _load(self, el, cs, sn, g, m01, m11):
+    def _load(self, el, g, m01, m11):
         # incident-wave source, supported where coefficients deviate from
-        # the background: el's first n_inner triangles
+        # the background: el's first n_inner templates
         n = el.n_inner
-        cs, sn, g, m01, m11 = (f[:, :n] for f in (cs, sn, g, m01, m11))
-        points = el.quad.reshape(3, -1, 2)[:, :n]
-        uinc = np.exp(1j * self.kappa_o * ((points @ self.direction) * m11))
+        g, m01, m11 = (f[:n] for f in (g, m01, m11))
+        # conj(x) dhat = x . dhat + i x x dhat: rho times dhat's polar components
+        along = np.conj(el.x[:n, :, None] * el.rotation) * complex(*self.direction)
+        uinc = np.exp(1j * self.kappa_o * (along.real * m11))
+        along = along / el.rho[:n, :, None]
         # the pulled-back incident wave has gradient DPhi^T (i kappa_o dhat)
         # uinc and K DPhi^T = adj(DPhi) = Q [[m11, -m01], [0, g]] Q^T, so
         # its pulled-back flux is adj(DPhi) (i kappa_o dhat) uinc
-        d0, d1 = self.direction
-        radial, angular = cs * d0 + sn * d1, cs * d1 - sn * d0
-        u, v = m11 * radial - m01 * angular, g * angular
-        fx = ((cs * u - sn * v) * uinc).sum(axis=0)
-        fy = ((sn * u + cs * v) * uinc).sum(axis=0)
-        stiff = el.gx[:, :n] * fx + el.gy[:, :n] * fy
+        u, v = (m11 * along.real - m01 * along.imag) * uinc, g * along.imag * uinc
+        stiff = el.grad[0, :n].swapaxes(1, 2) @ u + el.grad[1, :n].swapaxes(1, 2) @ v
         mass = _LOAD.T @ (g * m11 * uinc)
-        bt = el.area[:n] * ((self.kappa_i**2 - self.kappa_o**2) * mass
-                            - (1j * self.kappa_o * (self.alpha_i - 1.0) / 3) * stiff)
-        return _bincount(el.dof_slots[:, :n], bt, self.n_int)
+        jump = self.kappa_i**2 - self.kappa_o**2, 1j * self.kappa_o * (self.alpha_i - 1.0) / 3
+        bt = el.area[:n, None, None] * (jump[0] * mass - jump[1] * stiff)
+        return _bincount(el.dof_slots[:n], bt, self.n_int)
 
     def _incident(self, y, points):
         """Incident wave exp(i kappa_o dhat . Phi(y; x)) at nominal points x."""

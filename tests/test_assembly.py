@@ -1,9 +1,11 @@
 """The fixed-pattern assembly reproduces the committed reference solves, and
-a sample evaluates the map's Jacobian on the band triangles only, with one
-interface-series evaluation for both the Jacobian and the mapped points.
-The polar-frame kernel matches a Cartesian reference built from the
-Jacobian, on the band and on the fixed triangles with the absorbing layer,
-and the transmission field adds the incident wave only where it is read."""
+a sample sums the interface series once, on a (template points, m) grid of
+6 points per band strip and their m rotations, and evaluates neither the
+map nor its Jacobian.  The polar-frame template kernel matches a Cartesian
+reference built from the Jacobian, on the band and on the fixed triangles
+with the absorbing layer, on the workload meshes and on a disk of 16
+sectors whose series has more terms than sectors, and the transmission
+field adds the incident wave only where it is read."""
 
 import dataclasses
 import json
@@ -14,8 +16,9 @@ import pytest
 import scipy.sparse as sp
 
 from interface_surrogates import geometry, pde, pipeline
+from interface_surrogates import mesh as meshes
 from interface_surrogates.geometry import BAND_INNER, BAND_OUTER, BAND_PML
-from interface_surrogates.mesh import REGION_INNER
+from interface_surrogates.mesh import REGION_INNER, Mesh, MeshError
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference.json"
 # ROADMAP aim 3: a solver change reproduces the QoI to this relative tolerance
@@ -42,54 +45,69 @@ def test_reference_solves_reproduced(case):
         np.testing.assert_allclose(ws.solve(y), expected, rtol=QOI_RTOL, atol=0)
 
 
-def test_assemble_evaluates_jacobian_once_per_band_point(case, monkeypatch):
+def _band(mesh):
+    """The band triangles of mesh, their quadrature points (t, 3, 2) and chi
+    branches, read off the mesh."""
+    tris = np.nonzero(np.isin(mesh.band, (BAND_INNER, BAND_OUTER)))[0]
+    quad = np.einsum("qi,tid->tqd", pde._Q2, mesh.vertices[mesh.triangles[tris]])
+    return tris, quad, mesh.band[tris]
+
+
+def test_assemble_evaluates_the_series_at_six_points_per_band_strip(case, monkeypatch):
+    # two template triangles of three quadrature points per strip, each
+    # point rotated to all m sectors by the matmul, whatever m is
     _, ws = case
-    points = []
-    original = pde.map_jacobian
+    grids = []
+    original = pde.rotated_series
 
-    def counting(dm, y, pts, band=None, **kwargs):
-        points.append(len(pts))
-        return original(dm, y, pts, band, **kwargs)
+    def recording(model, y, powers, omega):
+        grids.append((powers[..., 0].size, omega.shape[1]))
+        return original(model, y, powers, omega)
 
-    monkeypatch.setattr(pde, "map_jacobian", counting)
+    monkeypatch.setattr(pde, "rotated_series", recording)
     ws.problem.assemble(pipeline.sample_parameters(3, 0, ws.config.d))
-    band = np.isin(ws.mesh.band, (BAND_INNER, BAND_OUTER))
-    assert sum(points) == 3 * np.count_nonzero(band)
+    m = ws.mesh.rings.m
+    strips = _band(ws.mesh)[0].size // (2 * m)
+    assert grids == [(6 * strips, m)]
 
 
 def test_assemble_sums_the_series_once(case, monkeypatch):
     _, ws = case
     calls = []
-    series = geometry._series
+    series = pde.rotated_series
 
     def counting_series(*args):
         calls.append("series")
         return series(*args)
 
-    def no_forward(*args, **kwargs):
-        raise AssertionError("assembly called pde.map_forward")
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"assembly called {name}")
+        return call
 
-    monkeypatch.setattr(geometry, "_series", counting_series)
-    monkeypatch.setattr(pde, "map_forward", no_forward)
+    monkeypatch.setattr(pde, "rotated_series", counting_series)
+    monkeypatch.setattr(geometry, "_series", forbidden("geometry._series"))
+    monkeypatch.setattr(pde, "map_forward", forbidden("pde.map_forward"))
+    monkeypatch.setattr(pde, "map_jacobian", forbidden("pde.map_jacobian"))
     ws.problem.assemble(pipeline.sample_parameters(3, 1, ws.config.d))
     assert calls == ["series"]
 
 
 def test_jacobian_image_matches_map_forward(case):
-    # the polar factors give DPhi bit for bit and Phi = x m11 to rounding
+    # the band's polar factors at every rotated template point give DPhi and
+    # Phi = x m11 to rounding
     _, ws = case
     problem = ws.problem
-    dm = problem.dm
-    points = problem.band.quad
+    el, dm = problem.band, problem.dm
+    x = (el.x[..., None] * el.rotation).ravel()
+    points, tags = np.stack([x.real, x.imag], 1), np.repeat(el.band, x.size // el.size)
     for k in range(3):
         y = pipeline.sample_parameters(3, k, ws.config.d)
-        factors = pde.map_jacobian(dm, y, points, problem.band_tags, polar=True)
-        np.testing.assert_array_equal(
-            geometry.polar_jacobian(*factors),
-            pde.map_jacobian(dm, y, points, problem.band_tags))
-        np.testing.assert_allclose(points * factors[4][:, None],
-                                   geometry.map_forward(dm, y, points),
-                                   rtol=1e-15, atol=0)
+        g, m01, m11 = (f.ravel() for f in problem._band(y)[0])
+        J = geometry.polar_jacobian(x.real / abs(x), x.imag / abs(x), g, m01, m11)
+        assert abs(J - pde.map_jacobian(dm, y, points, tags)).max() <= 1e-14
+        np.testing.assert_allclose(points * m11[:, None], geometry.map_forward(dm, y, points),
+                                   rtol=1e-14, atol=0)
 
 
 # ------------------------------------------------------- band kernel reference
@@ -169,18 +187,19 @@ def _assert_close(got, want):
     assert abs(got - want).max() <= 1e-13 * scale
 
 
+def _assert_band_matches_reference(problem, y):
+    tris, quad, tags = _band(problem.mesh)
+    J = pde.map_jacobian(problem.dm, y, quad.reshape(-1, 2), np.repeat(tags, 3))
+    ref_A, ref_b = _reference(problem, tris, J.reshape(-1, 3, 2, 2), y)
+    A, b = problem.assemble(y)
+    _assert_close(A - _fixed_matrix(problem), ref_A)
+    _assert_close(b - problem._fixed[1], ref_b)
+
+
 def test_band_kernel_matches_cartesian_reference(case):
     _, ws = case
-    problem = ws.problem
-    t = problem.band.size
     for k in range(3):
-        y = pipeline.sample_parameters(5, k, ws.config.d)
-        J = pde.map_jacobian(problem.dm, y, problem.band.quad, problem.band_tags)
-        ref_A, ref_b = _reference(problem, problem.band.tris,
-                                  J.reshape(3, t, 2, 2).swapaxes(0, 1), y)
-        A, b = problem.assemble(y)
-        _assert_close(A - _fixed_matrix(problem), ref_A)
-        _assert_close(b - problem._fixed[1], ref_b)
+        _assert_band_matches_reference(ws.problem, pipeline.sample_parameters(5, k, ws.config.d))
 
 
 def test_nominal_band_values_match_identity_reference(case, monkeypatch):
@@ -190,9 +209,48 @@ def test_nominal_band_values_match_identity_reference(case, monkeypatch):
     monkeypatch.setattr(pde, "nominal_factor",
                         lambda A, rings: factored.append(A) or "factor")
     assert fresh._nominal_factor() == "factor"
-    J = np.broadcast_to(np.eye(2), (fresh.band.size, 3, 2, 2))
-    ref_A, _ = _reference(fresh, fresh.band.tris, J, None)
+    tris = _band(fresh.mesh)[0]
+    J = np.broadcast_to(np.eye(2), (tris.size, 3, 2, 2))
+    ref_A, _ = _reference(fresh, tris, J, None)
     _assert_close(factored[0] - _fixed_matrix(fresh), ref_A)
+
+
+def _small_disk(d):
+    """A disk of m = 16 sectors with an absorbing layer (finer than any mesh
+    builder makes it), and both problems on it for a series of d terms."""
+    radii = np.array([0.125, 0.25, 0.375, 0.5, 0.65, 0.8, 0.9, 1.0])
+    _, points, bands = meshes._rings(radii, 16, (0.25, 0.5, 0.8), 0.8)
+    mesh = meshes._ring_mesh(points, bands, (0.25, 0.5, 0.8, 1.0), radii.size)
+    meshes.check_mesh(mesh)
+    dm = geometry.DomainMap(geometry.InterfaceModel(0.5, d, 1.0, 0.05), 0.25, 0.8)
+    return mesh, [pde.EllipticProblem(mesh, dm, 10.0),
+                  pde.HelmholtzProblem(mesh, dm, 10.0, 3.0, 2.0)]
+
+
+def test_band_kernel_matches_reference_with_more_modes_than_sectors():
+    # d/2 = 32 modes on 16 sectors: e^(2 pi i k a / m) for k > m must not
+    # alias to a wrong mode
+    _, problems = _small_disk(64)
+    rng = np.random.default_rng(11)
+    for problem in problems:
+        for _ in range(3):
+            _assert_band_matches_reference(problem, rng.uniform(-1, 1, 64))
+
+
+@pytest.mark.parametrize("y", [np.zeros(63), np.zeros((2, 64)), np.full(64, 1.5)],
+                         ids=["short", "matrix", "outside"])
+def test_assemble_rejects_a_bad_sample(y):
+    for problem in _small_disk(64)[1]:
+        with pytest.raises(geometry.GeometryError):
+            problem.assemble(y)
+
+
+def test_band_without_ring_layout_raises_mesh_error():
+    mesh, (problem, _) = _small_disk(8)
+    bare = Mesh(mesh.vertices, mesh.triangles, mesh.region, mesh.band,
+                mesh.boundary, mesh.circles)
+    with pytest.raises(MeshError, match="strips between circles of a ring mesh"):
+        pde.EllipticProblem(bare, problem.dm, 10.0)
 
 
 def test_fixed_values_match_cartesian_reference(case, monkeypatch):

@@ -141,6 +141,32 @@ def test_cg_raises_on_non_finite_iterate():
         cg_solve(A, np.ones(2), precond=identity)
 
 
+class _CountingMatrix(sp.csr_matrix):
+    """CSR matrix that counts its products with a vector."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cg_raises_when_the_preconditioner_turns_non_finite():
+    # the second apply returns NaNs: the solve stops there, before a second
+    # product with A and without a numpy warning
+    A = _CountingMatrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    calls = []
+
+    def turning(r):
+        calls.append(r)
+        return r.copy() if len(calls) == 1 else np.full_like(r, np.nan)
+
+    with pytest.raises(NotFiniteError, match="iteration 2"):
+        cg_solve(A, np.array([1.0, 2.0]), precond=turning)
+    assert len(calls) == 2 and A.products == 1
+
+
 def test_lu_factor_detects_exact_singularity():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):

@@ -206,12 +206,14 @@ def test_perturbed_solution_raises_solver_error(mesh, dm, monkeypatch):
         np.testing.assert_array_equal(err.value.y, y)
 
 
+@pytest.mark.filterwarnings("error")
 def test_corrupted_preconditioner_raises_solver_error(mesh, dm):
-    # a nominal solve that returns NaNs fails the sample instead of passing it
+    # a nominal solve that returns NaNs fails the sample instead of passing
+    # it, before numpy has anything to warn about
     y = np.full(8, 0.2)
     for prob in _both_problems(mesh, dm):
         prob._factor = prob._nominal_factor()._replace(solve=lambda r: np.full_like(r, np.nan))
-        with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="COCG failed") as err:
+        with pytest.raises(SolverError, match="COCG failed") as err:
             prob.solve(y)
         np.testing.assert_array_equal(err.value.y, y)
 
