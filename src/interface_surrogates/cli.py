@@ -89,9 +89,11 @@ def _cmd_sweep(args):
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
+    if args.out_dir:
+        overrides["out_dir"] = args.out_dir
     if overrides:
         base = dataclasses.replace(base, **overrides)
-    out = args.out_dir or base.out_dir
+    out = base.out_dir
     name = args.name or (args.preset or "sweep")
     summary = pipeline.sweep(base, axes, out, kind=kind, workers=args.workers,
                              name=name)
@@ -101,7 +103,8 @@ def _cmd_sweep(args):
         if "error" in cell:
             print(f"{label}: FAILED ({cell['error']})")
         else:
-            print(f"{label}: {cell['value']:.6g}")
+            reused = " (reused)" if cell.get("reused") else ""
+            print(f"{label}: {cell['value']:.6g}{reused}")
     print(f"outputs in {out}")
     return 2 if failed else 0
 

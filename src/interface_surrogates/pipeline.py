@@ -404,7 +404,7 @@ def gen_data(config, n=None, seed=None, workers=1, workspace=None):
         raise PipelineError("need at least one sample")
     if workspace is not None and workspace.config.data_hash() != config.data_hash():
         raise PipelineError("workspace was built for a different data signature")
-    t0 = time.time()
+    t0 = time.perf_counter()
     k = min(max(workers, 1), n)
     edges = [n * j // k for j in range(k + 1)]
     with Pool(k - 1) if k > 1 else contextlib.nullcontext() as pool:
@@ -423,7 +423,7 @@ def gen_data(config, n=None, seed=None, workers=1, workspace=None):
         "mesh_checksum": mesh_checksum(ws.mesh),
         "solver": {"method": f"nominal-{nominal_method(ws.mesh.rings)}-cocg",
                    "tol": ws.problem.tol},
-        "wall_time": time.time() - t0,
+        "wall_time": time.perf_counter() - t0,
         "created": datetime.now(timezone.utc).isoformat(),
     }
     return Dataset(samples, qoi, meta)
@@ -525,7 +525,7 @@ def train_on_datasets(config, train_ds, test_ds, out_dir=None, tag=None):
     spread = np.ptp(train_ds.qoi, axis=0).max() if train_ds.n else 0.0
     if spread < 1e-12:
         warnings.warn("zero-variance target: QoI is constant over samples")
-    t0 = time.time()
+    t0 = time.perf_counter()
     net, best, reports = surrogate.train(
         train_ds.as_pair(), test_ds.as_pair(), config.widths(),
         epochs=config.epochs, restarts=config.restarts,
@@ -547,12 +547,15 @@ def train_on_datasets(config, train_ds, test_ds, out_dir=None, tag=None):
             "n_test": test_ds.n,
             "mesh_checksum": train_ds.meta.get("mesh_checksum"),
         },
-        "wall_time": time.time() - t0,
+        "wall_time": time.perf_counter() - t0,
     }
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         name = record["tag"]
+        # the record marks the checkpoint beside it as done, so an old one
+        # goes before the checkpoint is replaced and the new one comes last
+        (out / f"{name}.result.json").unlink(missing_ok=True)
         surrogate.save_network(net, out / f"{name}.mlpc")
         _write_json(out / f"{name}.result.json", record)
     return net, record
@@ -561,35 +564,65 @@ def train_on_datasets(config, train_ds, test_ds, out_dir=None, tag=None):
 def run_experiment(config, out_dir=None, workers=1, reuse=True):
     """Generate or load datasets for config, train, persist, return record.
 
-    Files are named after config.tag().
+    Files are named after config.tag().  With reuse, a cell already trained
+    on config is read back instead (see _train_cell).
     """
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _train_cell(config, "", config.n_points, {}, out, workers, reuse)
+    return _train_cell(config, "", config.n_points, {}, out, workers, reuse)[0]
+
+
+def _stored_record(cfg, base):
+    """The record in base.result.json when it was trained on cfg and
+    base.mlpc loads as a network of cfg's widths and slope; None otherwise,
+    a missing, unreadable or malformed file included."""
+    try:
+        with open(base.with_name(base.name + ".result.json")) as fh:
+            record = json.load(fh)
+        if not (isinstance(record, dict) and record.get("config") == cfg.to_dict()
+                and record.get("config_hash") == cfg.data_hash()):
+            return None
+        net = surrogate.load_network(base.with_name(base.name + ".mlpc"))
+    except (OSError, ValueError):
+        return None
+    return record if net.widths == cfg.widths() and net.beta == cfg.beta else None
 
 
 def _train_cell(cfg, suffix, top, pairs, out, workers, reuse):
-    """Train cfg on its columns of a dataset pair and persist; returns the record.
+    """Train cfg on its columns of a dataset pair and persist; returns the
+    record and whether it was reused.
+
+    With reuse, a cell whose stored record and checkpoint match cfg (see
+    _stored_record) returns the stored record before any dataset is loaded
+    or generated; training is deterministic, so a retrain would give the
+    same values.  Otherwise the cell trains and rewrites both files.
 
     top is the sweep's largest n_points.  The pair is generated at top
     points when cfg.n_points divides top (the m-point evaluation circle is
     a stride of the k*m-point circle), at cfg.n_points otherwise.  pairs
     maps what decides dataset content (data hash, seed, sample counts) to
-    the pair, so each pair is generated or loaded once, under the stem of
-    the first cell that needs it.  Both splits of a pair are solved on one
-    Workspace, built only when a split is generated and dropped with the
-    pair's generation.  The cell's checkpoint and result are named
-    cfg.tag() + suffix.
+    the stem of the first cell that shares the pair, read back or not, and
+    then to the pair once a cell trains on it; so each pair is generated or
+    loaded once, and a rerun finds it under the stem the first run stored
+    it.  Both splits of a pair are solved on one Workspace, built only when
+    a split is generated and dropped with the pair's generation.  The
+    cell's checkpoint and result are named cfg.tag() + suffix.
     """
     big = dataclasses.replace(cfg, n_points=top) if top % cfg.n_points == 0 else cfg
     key = (big.data_hash(), big.seed, big.n_train, big.n_test)
-    if key not in pairs:
+    stem = pairs.setdefault(key, big.tag() + suffix)
+    name = cfg.tag() + suffix
+    if reuse:
+        record = _stored_record(cfg, out / name)
+        if record is not None:
+            return record, True
+    if isinstance(stem, str):
         workspace = functools.cache(lambda: Workspace(big))
-        pairs[key] = [_ensure_dataset(big, split, out, workers, reuse,
-                                      big.tag() + suffix, workspace)
+        pairs[key] = [_ensure_dataset(big, split, out, workers, reuse, stem,
+                                      workspace)
                       for split in ("train", "test")]
     train_ds, test_ds = (_slice_points(ds, cfg) for ds in pairs[key])
-    return train_on_datasets(cfg, train_ds, test_ds, out, cfg.tag() + suffix)[1]
+    return train_on_datasets(cfg, train_ds, test_ds, out, name)[1], False
 
 
 # ------------------------------------------------------------------- sweeps
@@ -661,8 +694,10 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
     pair stays in memory until the sweep returns.  A cell's files are
     named after its tag, cfg.tag() plus -<axis><value> for each swept axis
     that the tag leaves out; a shared pair keeps the stem of the first cell
-    that needs it.  A failed cell is recorded and skipped; completed cells
-    are kept in NAME.cells.json, rewritten after each cell.
+    that shares it.  With reuse, a cell already trained into out_dir is read
+    back rather than retrained; a trained cell carries "reused": False, a
+    read-back one True.  A failed cell is recorded and skipped; completed
+    cells are kept in NAME.cells.json, rewritten after each cell.
     """
     axes = _check_axes(axes)
     if kind is None:
@@ -686,8 +721,10 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
                 model = _interface_model(cfg.data_signature())
                 cell["value"] = 100.0 * max_shape_variation(model)
             else:
-                record = _train_cell(cfg, suffix, top, pairs, out, workers, reuse)
+                record, reused = _train_cell(cfg, suffix, top, pairs, out,
+                                             workers, reuse)
                 cell["value"] = record["test_error"]
+                cell["reused"] = reused
         except (PipelineError, SolverError, ArithmeticError, ValueError) as exc:
             cell["error"] = str(exc)
         cells.append(cell)

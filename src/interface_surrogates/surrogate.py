@@ -268,7 +268,9 @@ class TrainReport:
             "epoch_ms": (1000.0 * self.wall_time / self.loss_history.size
                          if self.loss_history.size else None),
             "final_loss": float(self.loss_history[-1]) if self.loss_history.size else None,
-            "hyperparams": self.hyperparams,
+            # tuples as lists, so that the dict equals its JSON round trip
+            "hyperparams": {k: list(v) if isinstance(v, tuple) else v
+                            for k, v in self.hyperparams.items()},
             "diverged": self.diverged,
         }
 

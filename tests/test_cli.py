@@ -152,6 +152,23 @@ def test_sweep_config_file(tmp_path, capsys):
     assert (tmp_path / "out" / "mini.csv").exists()
 
 
+def test_sweep_out_dir_is_recorded_and_rerun_reuses_cells(tmp_path, capsys):
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"base": tiny_dict(tmp_path / "elsewhere"),
+                                "axes": {"d": [4]}, "kind": "table"}))
+    argv = ["sweep", "--config", str(spec), "--name", "mini",
+            "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert "(reused)" not in capsys.readouterr().out
+    result = json.loads((tmp_path / "out" / "elliptic-d4-p3-a10-np2.result.json")
+                        .read_text())
+    assert result["config"]["out_dir"] == str(tmp_path / "out")
+    assert not (tmp_path / "elsewhere").exists()
+    assert cli.main(argv) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("d=4:")]
+    assert line.endswith(" (reused)")
+
+
 def test_sweep_preset_geometry(tmp_path, capsys):
     assert cli.main(["sweep", "--preset", "table1",
                      "--out-dir", str(tmp_path)]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
@@ -506,13 +507,25 @@ def test_run_experiment_record_and_outputs(tmp_path):
         assert (tmp_path / f"{cfg.tag()}-{split}.samples.csv").exists()
 
 
-def test_run_experiment_reuses_saved_datasets(tmp_path):
+def test_run_experiment_reuses_saved_datasets(tmp_path, monkeypatch):
     cfg = tiny_config()
     first = pl.run_experiment(cfg, out_dir=tmp_path)
     stamp = (tmp_path / f"{cfg.tag()}-train.meta.json").stat().st_mtime_ns
-    second = pl.run_experiment(cfg, out_dir=tmp_path)
+    loaded = []
+    load = pl.load_dataset
+
+    def counting(base, config=None):
+        loaded.append(Path(base).name)
+        return load(base, config)
+
+    monkeypatch.setattr(pl, "load_dataset", counting)
+    # epochs is outside the data signature: the cell retrains on the same pair
+    second = pl.run_experiment(dataclasses.replace(cfg, epochs=cfg.epochs + 1),
+                               out_dir=tmp_path)
+    assert loaded == [f"{cfg.tag()}-train", f"{cfg.tag()}-test"]
     assert (tmp_path / f"{cfg.tag()}-train.meta.json").stat().st_mtime_ns == stamp
-    assert second["test_error"] == first["test_error"]
+    assert second["dataset"] == first["dataset"]
+    assert second["restarts"][0]["epochs_run"] == cfg.epochs + 1
 
 
 def test_run_experiment_builds_one_workspace_for_both_splits(tmp_path, monkeypatch):
@@ -527,10 +540,159 @@ def test_run_experiment_builds_one_workspace_for_both_splits(tmp_path, monkeypat
     cfg = tiny_config()
     first = pl.run_experiment(cfg, out_dir=tmp_path)
     assert built == [cfg.data_hash()]
-    # a reuse pass loads both splits and builds none
-    second = pl.run_experiment(cfg, out_dir=tmp_path, reuse=True)
+    # a rerun that cannot skip the cell loads both splits and builds none
+    second = pl.run_experiment(dataclasses.replace(cfg, epochs=cfg.epochs + 1),
+                               out_dir=tmp_path, reuse=True)
     assert len(built) == 1
-    assert second["test_error"] == first["test_error"]
+    assert second["dataset"] == first["dataset"]
+
+
+def _refuse_training(monkeypatch):
+    """Make every step of training a cell raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reused cell must not load, generate or train")
+
+    for owner, name in ((surrogate, "train"), (pl, "gen_data"),
+                        (pl, "load_dataset"), (pl.Workspace, "__init__")):
+        monkeypatch.setattr(owner, name, refuse)
+
+
+def _bytes(out):
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+def test_sweep_rerun_reads_trained_cells_back(tmp_path, monkeypatch):
+    base = tiny_config()
+    first = pl.sweep(base, {"p": [1.0, 3.0]}, tmp_path, kind="table", name="grid")
+    assert [c["reused"] for c in first["cells"]] == [False, False]
+    before = _bytes(tmp_path)
+    _refuse_training(monkeypatch)
+    second = pl.sweep(base, {"p": [1.0, 3.0]}, tmp_path, kind="table", name="grid")
+    assert [c["reused"] for c in second["cells"]] == [True, True]
+    assert [c["value"] for c in second["cells"]] == [c["value"] for c in first["cells"]]
+    saved = json.loads((tmp_path / "grid.cells.json").read_text())
+    assert [c["reused"] for c in saved["cells"]] == [True, True]
+    after = _bytes(tmp_path)
+    # every dataset, checkpoint, record and table file is as the first pass left it
+    assert {n: b for n, b in after.items() if n != "grid.cells.json"} == {
+        n: b for n, b in before.items() if n != "grid.cells.json"}
+
+
+def test_rerun_trains_a_later_cell_on_the_pair_the_first_cell_stored(tmp_path,
+                                                                    monkeypatch):
+    base, axes = tiny_config(), {"lr": [1e-3, 2e-3]}
+    first = pl.sweep(base, axes, tmp_path, kind="figure", name="lr")
+    (tmp_path / f"{first['cells'][1]['tag']}.result.json").unlink()
+    monkeypatch.setattr(pl, "gen_data", _refuse)
+    second = pl.sweep(base, axes, tmp_path, kind="figure", name="lr")
+    assert [c["reused"] for c in second["cells"]] == [True, False]
+    assert [c["value"] for c in second["cells"]] == [c["value"] for c in first["cells"]]
+    assert [f.name for f in tmp_path.glob("*-train.samples.csv")] == [
+        "elliptic-d4-p3-a10-np2-lr0.001-train.samples.csv"]
+
+
+def test_run_experiment_rerun_returns_the_stored_record(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    first = pl.run_experiment(cfg, out_dir=tmp_path)
+    _refuse_training(monkeypatch)
+    second = pl.run_experiment(cfg, out_dir=tmp_path)
+    assert second == first
+    assert second == json.loads((tmp_path / f"{cfg.tag()}.result.json").read_text())
+
+
+@pytest.mark.parametrize("case", ["other epochs", "edited hash", "truncated checkpoint",
+                                  "missing checkpoint", "malformed record"])
+def test_rerun_retrains_a_cell_that_does_not_match(tmp_path, monkeypatch, case):
+    cfg = tiny_config()
+    first = pl.run_experiment(cfg, out_dir=tmp_path)
+    record, ckpt = (tmp_path / f"{cfg.tag()}{ext}" for ext in (".result.json", ".mlpc"))
+    pristine = ckpt.read_bytes()
+    if case == "other epochs":
+        cfg = dataclasses.replace(cfg, epochs=cfg.epochs + 1)
+    elif case == "edited hash":
+        record.write_text(json.dumps({**json.loads(record.read_text()),
+                                      "config_hash": "0" * 64}))
+    elif case == "truncated checkpoint":
+        ckpt.write_bytes(pristine[:-8])
+    elif case == "missing checkpoint":
+        ckpt.unlink()
+    else:
+        record.write_text(record.read_text()[:-10])
+    trained, written = [], []
+    train, save, write = surrogate.train, surrogate.save_network, pl._write_json
+
+    def counting_train(*args, **kwargs):
+        trained.append(1)
+        return train(*args, **kwargs)
+
+    def recording(real, path_arg):
+        def wrapped(*args):
+            written.append(Path(args[path_arg]).name)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(surrogate, "train", counting_train)
+    monkeypatch.setattr(surrogate, "save_network", recording(save, 1))
+    monkeypatch.setattr(pl, "_write_json", recording(write, 0))
+    second = pl.run_experiment(cfg, out_dir=tmp_path)
+    assert trained == [1]
+    assert written == [ckpt.name, record.name]
+    assert json.loads(record.read_text()) == second
+    assert second["config"] == cfg.to_dict()
+    if case == "other epochs":
+        assert ckpt.read_bytes() != pristine
+    else:
+        assert ckpt.read_bytes() == pristine
+        assert second["test_error"] == first["test_error"]
+
+
+def test_reuse_false_always_trains(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    pl.run_experiment(cfg, out_dir=tmp_path)
+    trained = []
+    train = surrogate.train
+
+    def counting(*args, **kwargs):
+        trained.append(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(surrogate, "train", counting)
+    pl.run_experiment(cfg, out_dir=tmp_path, reuse=False)
+    summary = pl.sweep(cfg, {"p": [3.0]}, tmp_path, reuse=False, name="grid")
+    assert trained == [1, 1]
+    assert summary["cells"][0]["reused"] is False
+
+
+def test_interrupted_retrain_leaves_no_record_of_the_old_training(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    pl.run_experiment(cfg, out_dir=tmp_path)
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    # the new checkpoint is in place, its record not yet written
+    monkeypatch.setattr(pl, "_write_json", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        pl.run_experiment(dataclasses.replace(cfg, epochs=cfg.epochs + 1),
+                          out_dir=tmp_path)
+    monkeypatch.undo()
+    assert not (tmp_path / f"{cfg.tag()}.result.json").exists()
+    again = pl.run_experiment(cfg, out_dir=tmp_path)
+    fresh = pl.run_experiment(cfg, out_dir=tmp_path / "fresh")
+    assert again["test_error"] == fresh["test_error"]
+    assert ((tmp_path / f"{cfg.tag()}.mlpc").read_bytes()
+            == (tmp_path / "fresh" / f"{cfg.tag()}.mlpc").read_bytes())
+
+
+def test_durations_do_not_follow_the_wall_clock(monkeypatch):
+    # a wall clock stepped back an hour at every read
+    clock = itertools.count(2e9, -3600.0)
+    monkeypatch.setattr(pl.time, "time", lambda: next(clock))
+    cfg = tiny_config()
+    train_ds = pl.gen_data(cfg, cfg.n_train, cfg.seed)
+    test_ds = pl.gen_data(cfg, cfg.n_test, cfg.seed + pl.TEST_STREAM)
+    record = pl.train_on_datasets(cfg, train_ds, test_ds)[1]
+    assert train_ds.meta["wall_time"] > 0 and record["wall_time"] > 0
 
 
 def test_gen_data_rejects_workspace_of_another_signature():
