@@ -4,13 +4,14 @@ Matrices are scipy CSR, complex for Helmholtz rather than a 2n x 2n real
 block form.  The conjugate gradient loop is written out so iteration counts,
 the preconditioned residual history and the true final residual reach
 callers and tests; its products are unconjugated, so on a complex-symmetric
-matrix (A = A^T, not Hermitian) it is the conjugate orthogonal CG (COCG).
-Both problems precondition it by the exact inverse of their nominal matrix
-A(0) from nominal_factor: on a mesh whose rings are all circles, an FFT
-along the rings and a Thomas sweep over the ring-major mode systems (the
-Fourier-analysis fast solver, Hockney 1965); on any other mesh, such as the
-square one, a sparse LU.  lu_solve is the one-shot direct solver, the
-reference the iterative path is tested against.
+matrix (A = A^T, not Hermitian) it is the conjugate orthogonal CG (COCG),
+and it updates its vectors in place.  Both problems precondition it by the
+exact inverse of their nominal matrix A(0) from nominal_factor: on a mesh
+whose rings are all circles, an FFT along the rings and a Thomas sweep over
+the ring-major mode systems (the Fourier-analysis fast solver, Hockney
+1965), in a work array the factor keeps, so that solve is not reentrant;
+on any other mesh, such as the square one, a sparse LU.  lu_solve is the
+one-shot direct solver, the reference the iterative path is tested against.
 """
 
 import cmath
@@ -79,6 +80,12 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
     ||b||, which costs one more product with A.  Raises NotConvergedError
     past maxit and NotFiniteError when r^T M^-1 r (tested before the
     product with A that would use it), the residual or x is not finite.
+
+    x, r and p are updated in place through one scratch vector, so an
+    iteration allocates only precond's result and A p, and every iterate is
+    bit-identical to that of the allocating loop x += alpha p, r -= alpha A
+    p, p = z + beta p.  (BLAS axpy is not: it fuses the multiply and the
+    add, which rounds once instead of twice.)
     """
     A = A if sp.issparse(A) else sp.csr_matrix(A)
     b = np.asarray(b)
@@ -89,6 +96,7 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
     if bnorm == 0.0:
         return x, {"iterations": 0, "residual_norms": [], "residual": 0.0}
 
+    p, tmp = np.empty_like(x), np.empty_like(x)
     real = not np.iscomplexobj(x)
     history = []
     for it in range(1, maxit + 1):
@@ -97,7 +105,14 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
         if not cmath.isfinite(rz_new):
             raise NotFiniteError(f"non-finite preconditioned residual at iteration {it}")
         history.append(np.sqrt(abs(rz_new)))
-        p = z.copy() if it == 1 else z + (rz_new / rz) * p
+        # p = z + (rz_new / rz) p; a complex z does not fit a real p.  The
+        # scalar is the first factor of every product, since numpy rounds a
+        # complex p * beta differently from beta * p
+        if it == 1:
+            np.copyto(p, z, casting="same_kind")
+        else:
+            np.multiply(rz_new / rz, p, out=p)
+            p += z
         rz = rz_new
         Ap = A @ p
         pAp = p @ Ap
@@ -105,9 +120,9 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxit=20_000):
             raise SingularMatrixError("matrix is not positive definite" if real
                                       else "COCG breakdown: p^T A p = 0")
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rnorm = np.linalg.norm(r)
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, Ap, out=tmp)
+        rnorm = math.sqrt(abs(np.vdot(r, r)))
         if not math.isfinite(rnorm):
             raise NotFiniteError(f"non-finite residual at iteration {it}")
         if rnorm <= tol * bnorm:
@@ -149,6 +164,10 @@ def nominal_factor(A, rings):
     rings, vectorised across modes, factors them all; an apply is an FFT, two
     sweeps and an inverse FFT.  It does not pivot: a pivot not finite or not
     above 1e-14 max|eigenvalue| raises SingularMatrixError naming mode and ring.
+
+    The "fft" solve works in one (nring + 1, m) array the factor keeps, so
+    two threads must not call it at once; called in turn, it leaves r as it
+    is and returns a new array.
     """
     norm = float(abs(A).sum(axis=0).max())  # 1-norm: largest column sum
     if nominal_method(rings) == "lu":
@@ -206,16 +225,21 @@ def nominal_factor(A, rings):
         upper[j] /= diag[j]
     inv, lower = 1.0 / diag, lower / diag
     real = not np.iscomplexobj(val)
+    # both sweeps as (row, coefficient, neighbour row) views of z, in order
+    z, temp = np.empty((nring + 1, m), dtype=complex), np.empty(m, dtype=complex)
+    subtract, multiply = np.subtract, np.multiply
+    sweeps = ([(z[j], lower[j], z[j - 1]) for j in range(1, nring + 1)]
+              + [(z[j], upper[j], z[j + 1]) for j in range(nring - 1, -1, -1)])
 
     def solve(r):
-        z = np.empty((nring + 1, m), dtype=complex)
         z[0], z[0, 0] = 0.0, r[0]
         np.fft.fft(r[1:].reshape(nring, m), axis=1, norm="ortho", out=z[1:])
-        z *= inv
-        for j in range(1, nring + 1):
-            z[j] -= lower[j] * z[j - 1]
-        for j in range(nring - 1, -1, -1):
-            z[j] -= upper[j] * z[j + 1]
+        np.multiply(z, inv, out=z)  # in place: z belongs to the closure
+        for row, coefficient, neighbour in sweeps:
+            # row -= coefficient * neighbour with no temporary; call overhead
+            # is most of a sweep, so the ufuncs are local names and take
+            # their outputs by position
+            subtract(row, multiply(coefficient, neighbour, temp), row)
         x = np.empty(n, dtype=complex)
         x[0] = z[0, 0]
         np.fft.ifft(z[1:], axis=1, norm="ortho", out=x[1:].reshape(nring, m))

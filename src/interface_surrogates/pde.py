@@ -124,11 +124,18 @@ def circle_points(r0, n):
 def _metric(g, m01, m11):
     """K (T, 12, c): in row 3 r + q, for r = 0 ... 3, the polar pullback
     metric [[k00, k01], [k01, k11]] and detDPhi at point q, from the polar
-    factors (T, 3, c) of DPhi = Q [[g, m01], [0, m11]] Q^T there."""
-    k01 = -m01 / m11
-    k11 = g / m11
-    k00 = (m11 - m01 * k01) / g
-    return np.concatenate([k00, k01, k11, g * m11], axis=1)
+    factors (T, 3, c) of DPhi = Q [[g, m01], [0, m11]] Q^T there: k01 = -m01
+    / m11, k11 = g / m11, k00 = (m11 - m01 k01) / g and detDPhi = g m11, each
+    written into one contiguous block of a buffer, which one copy turns into K."""
+    T, _, c = np.broadcast_shapes(g.shape, m01.shape, m11.shape)
+    blocks = np.empty((4, T, 3, c), dtype=np.result_type(g, m01, m11))
+    k00, k01, k11, det = blocks
+    np.negative(np.divide(m01, m11, out=k01), out=k01)
+    np.divide(g, m11, out=k11)
+    np.subtract(m11, np.multiply(m01, k01, out=k00), out=k00)
+    np.divide(k00, g, out=k00)
+    np.multiply(g, m11, out=det)
+    return blocks.transpose(1, 0, 2, 3).reshape(T, 12, c)
 
 
 class ScalarField:
@@ -179,7 +186,9 @@ def _bincount(slots, vals, n):
     """Sum vals into n bins by slot; slot n collects the dropped entries."""
     slots, vals = slots.ravel(), vals.ravel()
     if np.iscomplexobj(vals):
-        return _bincount(slots, vals.real, n) + 1j * _bincount(slots, vals.imag, n)
+        out = np.empty(n, dtype=vals.dtype)
+        out.real, out.imag = _bincount(slots, vals.real, n), _bincount(slots, vals.imag, n)
+        return out
     return np.bincount(slots, vals, minlength=n + 1)[:n]
 
 
@@ -241,6 +250,8 @@ class _MappedProblem:
       _coefficients(el): alpha area and kappa2 area per template of an
         _Elements, with None for a kappa2 that vanishes, so that no mass
         term is formed;
+      _load_tables(el): the y-independent tables _load reads, formed once
+        per _Elements and kept as its load_tables;
       _load(el, g, m01, m11): el's summed load vector, given the polar
         factors (T, 3, c) of DPhi at its quadrature points;
     and may override _fixed_factors(el), the identity, with an absorbing
@@ -284,6 +295,7 @@ class _MappedProblem:
         self._fixed = 0.0, 0.0
         for tris in filter(np.size, _ring_templates(mesh, ~moving)):
             el = _Elements(mesh, tris, area, slots, dof_slots)
+            el.load_tables = self._load_tables(el)
             factors = self._fixed_factors(el)
             self._fixed = (self._fixed[0] + self._values(el, self._weights(el), _metric(*factors)),
                            self._fixed[1] + self._load(el, *factors))
@@ -291,7 +303,15 @@ class _MappedProblem:
         if rest.size:
             raise MeshError("band triangles must fill strips between circles of a ring mesh")
         el = self.band = _Elements(mesh, rotations, area, slots, dof_slots)
+        el.load_tables = self._load_tables(el)
         self._band_weights = self._weights(el)
+        # the band's slots fill one block of the CSR values (ring-major dofs
+        # keep them together); shifted to it, they sum W @ K into it alone,
+        # and the dropped slot nnz becomes the block's end
+        start = el.slots.min(initial=self.nnz)
+        stop = el.slots.max(initial=start - 1, where=el.slots < self.nnz) + 1
+        self._block = slice(start, stop)
+        el.slots = np.minimum(el.slots - start, stop - start)
         self._rotations = rotation_tables(el.z, el.rotation.size, dm.model.d // 2)
         # chi' per template and chi / rho per point, against (T, 3, m) grids
         self._chi = (mollifier_slope(dm, el.rho, el.band[:, None])[..., None],
@@ -322,16 +342,30 @@ class _MappedProblem:
 
     def _band(self, y):
         """Polar factors (g, m01, m11), (T, 3, m), at the band points and the
-        band's CSR values, from one rotated_series call; (1, 0, 1) at y = 0."""
+        band's CSR values in _block, from one rotated_series call; (1, 0, 1)
+        at y = 0."""
         slope, chi = self._chi
-        shift, dr = rotated_series(self.dm.model, y, *self._rotations)
-        factors = 1.0 + slope * shift, chi * dr, 1.0 + chi * shift
-        return factors, self._values(self.band, self._band_weights, _metric(*factors))
+        # r - r0 and dr/dphi, turned in place into m11 = 1 + chi (r - r0) and
+        # m01 = chi dr/dphi once g = 1 + chi' (r - r0) is formed
+        m11, m01 = rotated_series(self.dm.model, y, *self._rotations)
+        g = np.multiply(slope, m11)
+        g += 1.0
+        m01 *= chi
+        m11 *= chi
+        m11 += 1.0
+        return (g, m01, m11), self._band_values(_metric(g, m01, m11))
+
+    def _band_values(self, K):
+        """The band's CSR values in _block for the real K of _metric."""
+        return _bincount(self.band.slots, self._band_weights @ K,
+                         self._block.stop - self._block.start)
 
     def _matrix(self, band_values):
-        """CSR matrix of the fixed triangles plus the band triangles' values."""
-        return sp.csr_matrix((self._fixed[0] + band_values, self.indices.copy(),
-                              self.indptr.copy()), shape=(self.n_int, self.n_int))
+        """CSR matrix of the fixed triangles plus the band's real values."""
+        values = self._fixed[0].copy()
+        values.real[self._block] += band_values
+        return sp.csr_matrix((values, self.indices.copy(), self.indptr.copy()),
+                             shape=(self.n_int, self.n_int))
 
     def _assemble(self, y):
         factors, values = self._band(y)
@@ -340,8 +374,7 @@ class _MappedProblem:
     def _nominal_factor(self):
         """linalg.NominalFactor of A(0): the band kernel at y = 0's identity factors."""
         if self._factor is None:
-            values = self._values(self.band, self._band_weights,
-                                  _metric(*_MappedProblem._fixed_factors(self, self.band)))
+            values = self._band_values(_metric(*_MappedProblem._fixed_factors(self, self.band)))
             self._factor = nominal_factor(self._matrix(values), self.mesh.rings)
         return self._factor
 
@@ -388,9 +421,13 @@ class EllipticProblem(_MappedProblem):
     def _coefficients(self, el):
         return el.area * np.where(el.inner, self.alpha_i, 1.0), None
 
+    def _load_tables(self, el):
+        # the quadrature points of every copy, x rotation[a]
+        return el.x[..., None] * el.rotation
+
     def _load(self, el, g, m01, m11):
         # fhat = f(Phi(x)) detDPhi at the quadrature points, Phi(x) = x m11
-        x = el.x[..., None] * el.rotation * m11
+        x = el.load_tables * m11
         fval = self.source(x.view(float).reshape(-1, 2)).reshape(x.shape)
         bt = el.area[:, None, None] * (_LOAD.T @ (fval * (g * m11)))
         return _bincount(el.dof_slots, bt, self.n_int)
@@ -472,24 +509,38 @@ class HelmholtzProblem(_MappedProblem):
         amp = 2.0 * self.pml_damping * self.kappa_o * t
         return 1.0 + 1j * amp * tau**2, (rho + 1j * amp * t * tau**3 / 3.0) / rho
 
-    def _load(self, el, g, m01, m11):
-        # incident-wave source, supported where coefficients deviate from
-        # the background: el's first n_inner templates
+    def _load_tables(self, el):
+        """For el's n_inner templates, where the incident-wave source lives
+        (the coefficients deviate from the background there): kappa_o x .
+        dhat and dhat's radial and angular components, (n, 3, c) each, at
+        the quadrature points of every copy, and the weights W (n, 3, 9) of
+        _load's u, (i, row 3 r + q)."""
         n = el.n_inner
-        g, m01, m11 = (f[:n] for f in (g, m01, m11))
         # conj(x) dhat = x . dhat + i x x dhat: rho times dhat's polar components
         along = np.conj(el.x[:n, :, None] * el.rotation) * complex(*self.direction)
-        uinc = np.exp(1j * self.kappa_o * (along.real * m11))
-        along = along / el.rho[:n, :, None]
+        polar = along / el.rho[:n, :, None]
+        # the load at vertex i is area ((kappa_i^2 - kappa_o^2) sum_q L_qi u2
+        # - i kappa_o (alpha_i - 1) / 3 sum_q (grad_r_qi u0 + grad_phi_qi u1))
+        area = el.area[:n, None, None]
+        flux = -1j * self.kappa_o * (self.alpha_i - 1.0) / 3 * area * el.grad[:, :n].swapaxes(2, 3)
+        mass = (self.kappa_i**2 - self.kappa_o**2) * area * _LOAD.T
+        W = np.concatenate([flux[0], flux[1], mass], axis=2)
+        return self.kappa_o * along.real, polar.real, polar.imag, W
+
+    def _load(self, el, g, m01, m11):
+        n = el.n_inner
+        g, m01, m11 = (f[:n] for f in (g, m01, m11))
+        phase, radial, angular, W = el.load_tables
+        uinc = np.exp(1j * (phase * m11))
         # the pulled-back incident wave has gradient DPhi^T (i kappa_o dhat)
-        # uinc and K DPhi^T = adj(DPhi) = Q [[m11, -m01], [0, g]] Q^T, so
-        # its pulled-back flux is adj(DPhi) (i kappa_o dhat) uinc
-        u, v = (m11 * along.real - m01 * along.imag) * uinc, g * along.imag * uinc
-        stiff = el.grad[0, :n].swapaxes(1, 2) @ u + el.grad[1, :n].swapaxes(1, 2) @ v
-        mass = _LOAD.T @ (g * m11 * uinc)
-        jump = self.kappa_i**2 - self.kappa_o**2, 1j * self.kappa_o * (self.alpha_i - 1.0) / 3
-        bt = el.area[:n, None, None] * (jump[0] * mass - jump[1] * stiff)
-        return _bincount(el.dof_slots[:n], bt, self.n_int)
+        # uinc and K DPhi^T = adj(DPhi) = Q [[m11, -m01], [0, g]] Q^T, so its
+        # pulled-back flux is adj(DPhi) (i kappa_o dhat) uinc: u0 and u1 are
+        # its polar components over i kappa_o, u2 detDPhi uinc
+        u = np.empty((n, 3) + g.shape[1:], dtype=complex)
+        np.multiply(m11 * radial - m01 * angular, uinc, out=u[:, 0])
+        np.multiply(g * angular, uinc, out=u[:, 1])
+        np.multiply(g * m11, uinc, out=u[:, 2])
+        return _bincount(el.dof_slots[:n], W @ u.reshape(n, 9, -1), self.n_int)
 
     def _incident(self, y, points):
         """Incident wave exp(i kappa_o dhat . Phi(y; x)) at nominal points x."""

@@ -575,11 +575,17 @@ def run_experiment(config, out_dir=None, workers=1, reuse=True):
 def _stored_record(cfg, base):
     """The record in base.result.json when it was trained on cfg and
     base.mlpc loads as a network of cfg's widths and slope; None otherwise,
-    a missing, unreadable or malformed file included."""
+    a missing, unreadable or malformed file included.  out_dir is left out
+    of the comparison: the files were found there, under whatever name the
+    directory was given then (out, out/ or an absolute path)."""
+    def trained_on(config):
+        return {k: v for k, v in config.items() if k != "out_dir"}
+
     try:
         with open(base.with_name(base.name + ".result.json")) as fh:
             record = json.load(fh)
-        if not (isinstance(record, dict) and record.get("config") == cfg.to_dict()
+        if not (isinstance(record, dict) and isinstance(record.get("config"), dict)
+                and trained_on(record["config"]) == trained_on(cfg.to_dict())
                 and record.get("config_hash") == cfg.data_hash()):
             return None
         net = surrogate.load_network(base.with_name(base.name + ".mlpc"))

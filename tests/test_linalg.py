@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from interface_surrogates import pipeline
 from interface_surrogates.linalg import (
     NotConvergedError,
     NotFiniteError,
@@ -389,3 +390,109 @@ def test_cg_zero_load_runs_no_preconditioner():
     x, info = cg_solve(laplacian_1d(4), np.zeros(4), precond=pytest.fail)
     assert not x.any()
     assert info["iterations"] == 0 and info["residual_norms"] == []
+
+
+# ------------------------------------------- in-place loop vs the allocating one
+
+
+def _allocating_cg(A, b, precond, tol, maxit=1000):
+    """cg_solve's loop as it was when every update allocated a new vector:
+    (x, iterations)."""
+    x = np.zeros(b.shape[0], dtype=np.result_type(A.dtype, b.dtype, float))
+    r = b.astype(x.dtype)
+    bnorm = np.linalg.norm(b)
+    for it in range(1, maxit + 1):
+        z = precond(r)
+        rz_new = r @ z
+        p = z.copy() if it == 1 else z + (rz_new / rz) * p
+        rz = rz_new
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        if np.linalg.norm(r) <= tol * bnorm:
+            return x, it
+    raise AssertionError("reference loop did not converge")
+
+
+def _real_matrix_complex_load():
+    A, b, precond = _spd_system()
+    return A, b + 1j * np.random.default_rng(23).normal(size=b.size), precond
+
+
+def _complex_matrix_real_load():
+    A, b, precond = _complex_symmetric_system()
+    return A, b.real.copy(), precond
+
+
+def _float32_matrix():
+    A, b, _ = _spd_system()
+    A = A.astype(np.float32)
+    return A, b, jacobi(A)
+
+
+def _strided_preconditioner():
+    # the FFT nominal solve of a real matrix returns the real part of a
+    # complex array, a view with twice the stride
+    m, nring = 8, 4
+    A0 = polar_stencil(m, nring)
+    rng = np.random.default_rng(24)
+    A = (A0 + sp.diags(rng.uniform(0.0, 2.0, A0.shape[0]))).tocsr()
+    solve = nominal_factor(A0, RingLayout(m, nring + 1, nring + 1)).solve
+    b = rng.normal(size=A.shape[0])
+    assert not solve(b).flags.c_contiguous
+    return A, b, solve
+
+
+@pytest.mark.parametrize("system", [_spd_system, _complex_symmetric_system,
+                                    _real_matrix_complex_load, _complex_matrix_real_load,
+                                    _float32_matrix, _strided_preconditioner])
+def test_cg_matches_the_allocating_loop(system):
+    A, b, precond = system()
+    x, info = cg_solve(A, b, tol=1e-12, precond=precond)
+    ref_x, ref_it = _allocating_cg(A, b, precond, 1e-12)
+    assert info["iterations"] == ref_it > 1
+    assert x.dtype == ref_x.dtype
+    assert np.linalg.norm(x - ref_x) <= 1e-12 * np.linalg.norm(ref_x)
+
+
+# ------------------------------------------------- the nominal solve is pure
+
+
+def _nominal_case(case):
+    """(A(0), ring layout, load) of a desk problem: the complex FFT solve on
+    the Helmholtz disk mesh, the real one on a ring stencil, the LU on the
+    elliptic square mesh."""
+    rng = np.random.default_rng(25)
+    if case == "fft-real":
+        m, nring = 8, 4
+        A = polar_stencil(m, nring)
+        return A, RingLayout(m, nring + 1, nring + 1), rng.normal(size=(2, A.shape[0]))
+    problem = pipeline.Workspace(pipeline.preset(
+        "desk-helmholtz" if case == "fft" else "desk-elliptic")).problem
+    A, _ = problem.assemble(np.zeros(problem.dm.model.d))
+    loads = rng.normal(size=(2, A.shape[0]))
+    if np.iscomplexobj(A.data):
+        loads = loads + 1j * rng.normal(size=loads.shape)
+    return A, problem.mesh.rings, loads
+
+
+@pytest.mark.parametrize("case", ["fft", "fft-real", "lu"])
+def test_nominal_solve_behaves_as_a_pure_function(case):
+    A, rings, (r1, r2) = _nominal_case(case)
+    factor = nominal_factor(A, rings)
+    assert factor.method == case.split("-")[0]
+    kept = r1.copy(), r2.copy()
+    x1 = factor.solve(r1)
+    first = x1.copy()
+    x2 = factor.solve(r2)
+    # the loads are untouched and each call returns its own array, which a
+    # later call leaves as it was
+    np.testing.assert_array_equal(r1, kept[0])
+    np.testing.assert_array_equal(r2, kept[1])
+    assert not np.shares_memory(x1, x2)
+    np.testing.assert_array_equal(x1, first)
+    # the bits of a factor built for each call, and of a repeated call
+    for r, x in ((r1, x1), (r2, x2)):
+        np.testing.assert_array_equal(nominal_factor(A, rings).solve(r), x)
+    np.testing.assert_array_equal(factor.solve(r1), first)

@@ -578,6 +578,21 @@ def test_sweep_rerun_reads_trained_cells_back(tmp_path, monkeypatch):
         n: b for n, b in before.items() if n != "grid.cells.json"}
 
 
+def test_sweep_rerun_reads_cells_back_under_another_name_of_the_directory(tmp_path,
+                                                                         monkeypatch):
+    # as `sweep --out-dir` does, each pass records its directory in the cells'
+    # configs; out, out/ and the absolute path name the same files
+    monkeypatch.chdir(tmp_path)
+    axes = {"p": [1.0, 3.0]}
+    first = pl.sweep(tiny_config(out_dir="out"), axes, "out", name="grid")
+    assert [c["reused"] for c in first["cells"]] == [False, False]
+    _refuse_training(monkeypatch)
+    for name in ("out/", str(tmp_path / "out")):
+        again = pl.sweep(tiny_config(out_dir=name), axes, name, name="grid")
+        assert [c["reused"] for c in again["cells"]] == [True, True]
+        assert [c["value"] for c in again["cells"]] == [c["value"] for c in first["cells"]]
+
+
 def test_rerun_trains_a_later_cell_on_the_pair_the_first_cell_stored(tmp_path,
                                                                     monkeypatch):
     base, axes = tiny_config(), {"lr": [1e-3, 2e-3]}
