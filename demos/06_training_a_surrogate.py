@@ -11,6 +11,8 @@ everything here is the same code path at a fraction of the budget.
 """
 
 import dataclasses
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -58,8 +60,9 @@ for k in range(3):
 
 # --- persistence -------------------------------------------------------------
 # Checkpoints round-trip bit-exactly; predictions are reproducible anywhere.
-surrogate.save_network(net, "/tmp/demo-surrogate.mlpc")
-clone = surrogate.load_network("/tmp/demo-surrogate.mlpc")
+checkpoint = os.path.join(tempfile.gettempdir(), "demo-surrogate.mlpc")
+surrogate.save_network(net, checkpoint)
+clone = surrogate.load_network(checkpoint)
 y = pl.sample_parameters(1, 0, cfg.d)
 assert surrogate.forward(clone, y[None, :])[0, 0] == \
        surrogate.forward(net, y[None, :])[0, 0]

@@ -14,8 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline, plotting, surrogate, validation
-from .geometry import GeometryError
-from .mesh import MeshError
 from .pde import SolverError
 from .pipeline import ExperimentConfig, PipelineError
 
@@ -28,17 +26,21 @@ def _add_config_args(sub):
     sub.add_argument("--out-dir", help="override the output directory")
 
 
+def _override(cfg, args):
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.out_dir:
+        overrides["out_dir"] = args.out_dir
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+
+
 def _resolve_config(args):
     if args.config is not None:
         cfg = ExperimentConfig.from_json_file(args.config)
     else:
         cfg = pipeline.preset(args.preset)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out_dir", None):
-        overrides["out_dir"] = args.out_dir
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    return _override(cfg, args)
 
 
 def _cmd_gen_data(args):
@@ -55,8 +57,7 @@ def _cmd_gen_data(args):
 
 def _cmd_train(args):
     cfg = _resolve_config(args)
-    record = pipeline.run_experiment(cfg, out_dir=cfg.out_dir,
-                                     workers=args.workers)
+    record = pipeline.run_experiment(cfg, workers=args.workers)
     print(f"tag          {record['tag']}")
     print(f"test error   {record['test_error']:.6e}")
     print(f"train error  {record['train_error']:.6e}")
@@ -86,16 +87,9 @@ def _load_sweep(args):
 
 def _cmd_sweep(args):
     base, axes, kind = _load_sweep(args)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out_dir:
-        overrides["out_dir"] = args.out_dir
-    if overrides:
-        base = dataclasses.replace(base, **overrides)
-    out = base.out_dir
+    base = _override(base, args)
     name = args.name or (args.preset or "sweep")
-    summary = pipeline.sweep(base, axes, out, kind=kind, workers=args.workers,
+    summary = pipeline.sweep(base, axes, base.out_dir, kind=kind, workers=args.workers,
                              name=name)
     failed = [c for c in summary["cells"] if "error" in c]
     for cell in summary["cells"]:
@@ -105,7 +99,7 @@ def _cmd_sweep(args):
         else:
             reused = " (reused)" if cell.get("reused") else ""
             print(f"{label}: {cell['value']:.6g}{reused}")
-    print(f"outputs in {out}")
+    print(f"outputs in {base.out_dir}")
     return 2 if failed else 0
 
 
@@ -137,27 +131,24 @@ def _cmd_plot(args):
     return 0
 
 
-def _parse_y(args, d):
+def _parse_y(args):
     if args.y is not None:
         row = np.array([float(v) for v in args.y.split(",")], dtype=float)
         return row.reshape(1, -1)
-    data = np.loadtxt(args.y_file, delimiter=",", ndmin=2)
-    if data.shape[1] != d:
-        raise PipelineError(
-            f"parameter file has {data.shape[1]} columns, network expects {d}")
-    return data
+    return np.loadtxt(args.y_file, delimiter=",", ndmin=2)
 
 
 def _cmd_evaluate(args):
     net = surrogate.load_network(args.network)
-    Y = _parse_y(args, net.widths[0])
+    Y = _parse_y(args)
     if Y.shape[1] != net.widths[0]:
         raise PipelineError(
             f"parameter has length {Y.shape[1]}, network expects {net.widths[0]}")
     Q = surrogate.forward(net, Y)
     text = "\n".join(",".join(format(v, ".12g") for v in row) for row in Q)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with surrogate.atomic_open(args.out) as fh:
+            fh.write(text + "\n")
     else:
         print(text)
     return 0
@@ -225,8 +216,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, SolverError, GeometryError, MeshError,
-            ArithmeticError, OSError, ValueError) as exc:
+    except (PipelineError, SolverError, ArithmeticError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

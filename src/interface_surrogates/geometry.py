@@ -27,7 +27,7 @@ mollifier band reads it there.
 
 In the polar frame Q = [e_rho, e_phi] the Jacobian is upper triangular,
 DPhi = Q [[g, m01], [0, m11]] Q^T, detDPhi = g m11 and Phi is the points
-times m11; map_jacobian forms DPhi from these polar factors (polar_jacobian).
+times m11; map_jacobian forms DPhi from these polar factors.
 """
 
 import numpy as np
@@ -202,9 +202,8 @@ def mollifier(dm, rho):
     return np.maximum(np.minimum(up, down), 0.0)
 
 
-def mollifier_slope(dm, rho, band):
-    """One-sided slope chi'(rho) on the branch selected by band."""
-    rho = np.asarray(rho, dtype=float)
+def mollifier_slope(dm, band):
+    """One-sided slope chi' on the branch selected by band."""
     band = np.asarray(band)
     slope = np.where(band == BAND_INNER, 1.0 / (dm.r0 - dm.r_inner), 0.0)
     return np.where(band == BAND_OUTER, -1.0 / (dm.r_outer - dm.r0), slope)
@@ -253,29 +252,6 @@ def map_forward(dm, y, points):
     return points * scale[..., None]
 
 
-def _band_factors(dm, y, points, rho, band):
-    """Polar factors (cos, sin, g, m01, m11) of DPhi at points (n, 2) that
-    all lie in a chi band."""
-    if np.any(rho <= 0):
-        raise GeometryError("Jacobian undefined at the origin")
-    cs, sn = points[:, 0] / rho, points[:, 1] / rho
-    shift, dr = _series(dm.model, y, cs + 1j * sn)
-    chi = mollifier(dm, rho)
-    g_rho = 1.0 + mollifier_slope(dm, rho, band) * shift
-    m01 = chi * dr / rho
-    m11 = 1.0 + chi * shift / rho
-    return cs, sn, g_rho, m01, m11
-
-
-def polar_jacobian(cs, sn, g_rho, m01, m11):
-    """Q @ [[g_rho, m01], [0, m11]] @ Q.T, with Q the rotation by phi, as (n, 2, 2)."""
-    cc, ss, csn = cs * cs, sn * sn, cs * sn
-    skew = (g_rho - m11) * csn
-    jac = np.stack([g_rho * cc - m01 * csn + m11 * ss, skew + m01 * cc,
-                    skew - m01 * ss, g_rho * ss + m01 * csn + m11 * cc], axis=-1)
-    return jac.reshape(-1, 2, 2)
-
-
 def map_jacobian(dm, y, points, band=None):
     """Jacobian DPhi(y; .) at points of shape (n, 2), returned as (n, 2, 2).
 
@@ -285,25 +261,34 @@ def map_jacobian(dm, y, points, band=None):
     so detDPhi = g m11 > 0 exactly when both factors are positive.  The chi'
     branch at a breakpoint circle is ambiguous; the band argument selects it
     (mesh region tags provide it), otherwise it is inferred and points
-    sitting on a breakpoint are rejected.
+    sitting on a breakpoint are rejected.  DPhi is the identity off the bands.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rho = np.hypot(points[:, 0], points[:, 1])
     if band is None:
         band = band_of(dm, rho)
     else:
-        band = np.broadcast_to(np.asarray(band), rho.shape)
+        band = np.broadcast_to(band, rho.shape)
+    jac = np.tile(np.eye(2), (rho.size, 1, 1))
     active = (band == BAND_INNER) | (band == BAND_OUTER)
-    if active.all():
-        factors = _band_factors(dm, y, points, rho, band)
-    else:
-        factors = (np.ones_like(rho), np.zeros_like(rho), np.ones_like(rho),
-                   np.zeros_like(rho), np.ones_like(rho))
-        if active.any():
-            moved = _band_factors(dm, y, points[active], rho[active], band[active])
-            for full, part in zip(factors, moved):
-                full[active] = part
-    return polar_jacobian(*factors)
+    if not active.any():
+        return jac
+    points, rho, band = points[active], rho[active], band[active]
+    if np.any(rho <= 0):
+        raise GeometryError("Jacobian undefined at the origin")
+    cs, sn = points[:, 0] / rho, points[:, 1] / rho
+    shift, dr = _series(dm.model, y, cs + 1j * sn)
+    chi = mollifier(dm, rho)
+    g = 1.0 + mollifier_slope(dm, band) * shift
+    m01 = chi * dr / rho
+    m11 = 1.0 + chi * shift / rho
+    # Q [[g, m01], [0, m11]] Q^T, with Q the rotation by phi
+    cc, ss, csn = cs * cs, sn * sn, cs * sn
+    skew = (g - m11) * csn
+    jac[active] = np.stack([g * cc - m01 * csn + m11 * ss, skew + m01 * cc,
+                            skew - m01 * ss, g * ss + m01 * csn + m11 * cc],
+                           axis=-1).reshape(-1, 2, 2)
+    return jac
 
 
 def map_inverse(dm, y, points):

@@ -314,7 +314,7 @@ class _MappedProblem:
         el.slots = np.minimum(el.slots - start, stop - start)
         self._rotations = rotation_tables(el.z, el.rotation.size, dm.model.d // 2)
         # chi' per template and chi / rho per point, against (T, 3, m) grids
-        self._chi = (mollifier_slope(dm, el.rho, el.band[:, None])[..., None],
+        self._chi = (mollifier_slope(dm, el.band[:, None])[..., None],
                      (mollifier(dm, el.rho) / el.rho)[..., None])
 
     def _weights(self, el):

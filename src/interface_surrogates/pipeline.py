@@ -197,9 +197,7 @@ class ExperimentConfig:
         return "-".join(parts)
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["direction"] = list(self.direction)
-        return d
+        return dict(vars(self), direction=list(self.direction))
 
     @classmethod
     def from_dict(cls, data):
@@ -564,12 +562,13 @@ def train_on_datasets(config, train_ds, test_ds, out_dir=None, tag=None):
 def run_experiment(config, out_dir=None, workers=1, reuse=True):
     """Generate or load datasets for config, train, persist, return record.
 
-    Files are named after config.tag().  With reuse, a cell already trained
-    on config is read back instead (see _train_cell).
+    Files are named after config.tag() and go to config.out_dir, which a
+    given out_dir replaces, in what is written too.  With reuse, a cell
+    already trained on config is read back instead (see _train_cell).
     """
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _train_cell(config, "", config.n_points, {}, out, workers, reuse)[0]
+    if out_dir is not None:
+        config = dataclasses.replace(config, out_dir=str(out_dir))
+    return _train_cell(config, "", config.n_points, {}, workers, reuse)[0]
 
 
 def _stored_record(cfg, base):
@@ -594,7 +593,7 @@ def _stored_record(cfg, base):
     return record if net.widths == cfg.widths() and net.beta == cfg.beta else None
 
 
-def _train_cell(cfg, suffix, top, pairs, out, workers, reuse):
+def _train_cell(cfg, suffix, top, pairs, workers, reuse):
     """Train cfg on its columns of a dataset pair and persist; returns the
     record and whether it was reused.
 
@@ -612,8 +611,9 @@ def _train_cell(cfg, suffix, top, pairs, out, workers, reuse):
     loaded once, and a rerun finds it under the stem the first run stored
     it.  Both splits of a pair are solved on one Workspace, built only when
     a split is generated and dropped with the pair's generation.  The
-    cell's checkpoint and result are named cfg.tag() + suffix.
+    cell's checkpoint and result go to cfg.out_dir, named cfg.tag() + suffix.
     """
+    out = Path(cfg.out_dir)
     big = dataclasses.replace(cfg, n_points=top) if top % cfg.n_points == 0 else cfg
     key = (big.data_hash(), big.seed, big.n_train, big.n_test)
     stem = pairs.setdefault(key, big.tag() + suffix)
@@ -691,7 +691,8 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
     any cell runs or out_dir is created.  kind: "table" (CSV +
     Markdown, rows = first axis, columns = second), "figure" (series CSV +
     fit JSON + SVG, x = last axis), or "geometry" (no PDE: the cell value is
-    the maximal shape variation in percent).
+    the maximal shape variation in percent).  out_dir replaces
+    base_config.out_dir in every config the sweep writes.
 
     Cells that differ only in fields outside the data signature (training
     fields such as lr, epochs or depth) share one dataset pair.  With an
@@ -711,6 +712,7 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
     if kind not in ("table", "figure", "geometry"):
         raise PipelineError(f"unknown sweep kind {kind!r}; "
                             f"one of 'table', 'figure', 'geometry'")
+    base_config = dataclasses.replace(base_config, out_dir=str(out_dir))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     top = max(axes["n_points"]) if "n_points" in axes else base_config.n_points
@@ -727,8 +729,7 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
                 model = _interface_model(cfg.data_signature())
                 cell["value"] = 100.0 * max_shape_variation(model)
             else:
-                record, reused = _train_cell(cfg, suffix, top, pairs, out,
-                                             workers, reuse)
+                record, reused = _train_cell(cfg, suffix, top, pairs, workers, reuse)
                 cell["value"] = record["test_error"]
                 cell["reused"] = reused
         except (PipelineError, SolverError, ArithmeticError, ValueError) as exc:

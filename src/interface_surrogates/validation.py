@@ -14,7 +14,6 @@ from . import surrogate
 from .geometry import (
     DomainMap,
     InterfaceModel,
-    band_of,
     kink_hyperplane,
     map_forward,
     map_inverse,

@@ -94,18 +94,22 @@ def test_assemble_sums_the_series_once(case, monkeypatch):
 
 
 def test_jacobian_image_matches_map_forward(case):
-    # the band's polar factors at every rotated template point give DPhi and
-    # Phi = x m11 to rounding
+    # the band's polar factors at every rotated template point are DPhi in
+    # the polar frame Q, Q^T DPhi Q = [[g, m01], [0, m11]], and give Phi =
+    # x m11, to rounding
     _, ws = case
     problem = ws.problem
     el, dm = problem.band, problem.dm
     x = (el.x[..., None] * el.rotation).ravel()
     points, tags = np.stack([x.real, x.imag], 1), np.repeat(el.band, x.size // el.size)
+    cs, sn = x.real / abs(x), x.imag / abs(x)
+    Q = np.stack([np.stack([cs, -sn], -1), np.stack([sn, cs], -1)], -2)
     for k in range(3):
         y = pipeline.sample_parameters(3, k, ws.config.d)
         g, m01, m11 = (f.ravel() for f in problem._band(y)[0])
-        J = geometry.polar_jacobian(x.real / abs(x), x.imag / abs(x), g, m01, m11)
-        assert abs(J - pde.map_jacobian(dm, y, points, tags)).max() <= 1e-14
+        polar = np.stack([np.stack([g, m01], -1), np.stack([0 * g, m11], -1)], -2)
+        J = Q.swapaxes(1, 2) @ pde.map_jacobian(dm, y, points, tags) @ Q
+        assert abs(J - polar).max() <= 1e-14
         np.testing.assert_allclose(points * m11[:, None], geometry.map_forward(dm, y, points),
                                    rtol=1e-14, atol=0)
 

@@ -97,6 +97,24 @@ def test_evaluate_corrupt_header_exit_2(tmp_path, capsys):
     assert f"{ckpt}: truncated checkpoint" in capsys.readouterr().err
 
 
+def test_evaluate_out_survives_interrupted_write(tmp_path, monkeypatch, capsys):
+    ckpt, pred = tmp_path / "net.mlpc", tmp_path / "pred.csv"
+    surrogate.save_network(surrogate.init([4, 3, 2], seed=0), ckpt)
+    evaluate = ["evaluate", "--network", str(ckpt), "--out", str(pred), "--y"]
+    assert cli.main(evaluate + ["0,0,0,0"]) == 0
+    before = pred.read_bytes()
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(surrogate.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(evaluate + ["0.5,0.5,0.5,0.5"])
+    monkeypatch.undo()
+    assert pred.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.mlpc", "pred.csv"]
+
+
 def test_gen_data_custom_name(tmp_path, capsys):
     cfg_file = write_config(tmp_path)
     assert cli.main(["gen-data", "--config", str(cfg_file), "--n", "2",

@@ -22,7 +22,6 @@ from interface_surrogates.geometry import (
     max_shape_variation,
     mollifier,
     mollifier_slope,
-    polar_jacobian,
     radius,
 )
 
@@ -177,11 +176,13 @@ def test_jacobian_fast_path_matches_masked():
     masked = map_jacobian(dm, y, both)
     assert np.abs(map_jacobian(dm, y, pts) - masked[:100]).max() <= 1e-15
     assert np.all(masked[100:] == np.eye(2))
-    # the polar factors give the Jacobian, and the image Phi = x m11
-    rho = np.hypot(pts[:, 0], pts[:, 1])
-    factors = geometry._band_factors(dm, y, pts, rho, band_of(dm, rho))
-    assert np.array_equal(polar_jacobian(*factors), masked[:100])
-    assert np.abs(pts * factors[4][:, None] - map_forward(dm, y, pts)).max() <= 1e-15
+    # in the polar frame Q = [e_rho, e_phi], Q^T DPhi Q = [[g, m01], [0, m11]],
+    # and the image is Phi = x m11
+    cs, sn = (pts / np.hypot(pts[:, 0], pts[:, 1])[:, None]).T
+    Q = np.stack([np.stack([cs, -sn], -1), np.stack([sn, cs], -1)], -2)
+    polar = Q.swapaxes(1, 2) @ masked[:100] @ Q
+    assert np.abs(polar[:, 1, 0]).max() <= 1e-15
+    assert np.abs(pts * polar[:, 1, 1, None] - map_forward(dm, y, pts)).max() <= 1e-15
 
 
 def test_amplitude_bound_rejects():
@@ -231,9 +232,9 @@ def test_mollifier_values():
 
 def test_mollifier_slope_branches():
     dm = make_map()
-    assert mollifier_slope(dm, 0.5, BAND_INNER) == pytest.approx(1 / 0.375)
-    assert mollifier_slope(dm, 0.5, BAND_OUTER) == pytest.approx(-1 / 0.375)
-    assert mollifier_slope(dm, 0.9, np.uint8(3)) == 0.0
+    assert mollifier_slope(dm, BAND_INNER) == pytest.approx(1 / 0.375)
+    assert mollifier_slope(dm, BAND_OUTER) == pytest.approx(-1 / 0.375)
+    assert mollifier_slope(dm, np.uint8(3)) == 0.0
 
 
 def test_band_classification():

@@ -18,7 +18,7 @@ from interface_surrogates.mesh import (
     build_square_mesh,
 )
 from interface_surrogates.oracles import manufactured_poisson, radial_two_zone
-from interface_surrogates import geometry, pde
+from interface_surrogates import pde
 from interface_surrogates.pde import (
     EllipticProblem,
     SolverError,
@@ -72,12 +72,15 @@ def test_patch_stiffness_matches_hand_values():
 
 def _point_metric(dm, y, pts, band):
     """Pullback metric (n, 2, 2) and detDPhi (n,) at pts, through the
-    assembly's pde._metric on the polar factors, as the three quadrature
-    points of one 'triangle' each, rotated out of the polar frame Q."""
-    cs, sn, *factors = geometry._band_factors(dm, y, pts, np.hypot(*pts.T), band)
+    assembly's pde._metric on the polar factors g, m01, m11 of
+    Q^T map_jacobian Q = [[g, m01], [0, m11]] in the polar frame Q, as the
+    three quadrature points of one 'triangle' each, rotated back out of Q."""
+    cs, sn = (pts / np.hypot(*pts.T)[:, None]).T
+    Q = np.stack([np.stack([cs, -sn], -1), np.stack([sn, cs], -1)], -2)
+    J = Q.swapaxes(1, 2) @ map_jacobian(dm, y, pts, band) @ Q
+    factors = J[:, 0, 0], J[:, 0, 1], J[:, 1, 1]
     K = pde._metric(*(np.tile(f[:, None, None], (1, 3, 1)) for f in factors))
-    (k00, k01, k11, det), Q = K[:, ::3, 0].T, np.stack([np.stack([cs, -sn], -1),
-                                                       np.stack([sn, cs], -1)], -2)
+    k00, k01, k11, det = K[:, ::3, 0].T
     polar = np.stack([np.stack([k00, k01], -1), np.stack([k01, k11], -1)], -2)
     return Q @ polar @ Q.swapaxes(1, 2), det
 

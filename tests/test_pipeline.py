@@ -305,13 +305,15 @@ def test_identity_sample_matches_plain_solve():
     np.testing.assert_allclose(q, ref, rtol=1e-9)
 
 
-def test_table2_alpha1000_matches_direct_reference():
+@pytest.mark.parametrize("name", ["table2_alpha1000", "elliptic_gen", "desk_helmholtz",
+                                  "table8_2k0"])
+def test_solve_matches_direct_reference(name):
     # direct SuperLU solves of the pipeline's own A(y), b(y); the tolerance is
     # a multiple of the spread between two orderings, the rounding floor
-    # (tests/data/make_table2_alpha1000_reference.py writes the file)
+    # (tests/data/make_direct_references.py writes the files)
     ref = json.loads((Path(__file__).parent / "data"
-                      / "table2_alpha1000_reference.json").read_text())
-    cfg = pl.preset(ref["preset"])
+                      / f"{name}_reference.json").read_text())
+    cfg = dataclasses.replace(pl.preset(ref["preset"]), **ref.get("overrides", {}))
     assert cfg.data_hash() == ref["data_hash"]
     assert ref["rtol"] == ref["tol_factor"] * ref["floor"]
     ws = pl.Workspace(cfg)
@@ -615,6 +617,18 @@ def test_run_experiment_rerun_returns_the_stored_record(tmp_path, monkeypatch):
     assert second == json.loads((tmp_path / f"{cfg.tag()}.result.json").read_text())
 
 
+def test_run_and_sweep_record_the_directory_they_write(tmp_path):
+    # the config names "runs"; each record and dataset meta names out_dir
+    cfg = tiny_config()
+    pl.run_experiment(cfg, out_dir=tmp_path / "run")
+    pl.sweep(cfg, {"epochs": [cfg.epochs]}, tmp_path / "sweep")
+    for out in (tmp_path / "run", tmp_path / "sweep"):
+        written = [*out.glob("*.result.json"), *out.glob("*.meta.json")]
+        assert len(written) == 3
+        for path in written:
+            assert json.loads(path.read_text())["config"]["out_dir"] == str(out)
+
+
 @pytest.mark.parametrize("case", ["other epochs", "edited hash", "truncated checkpoint",
                                   "missing checkpoint", "malformed record"])
 def test_rerun_retrains_a_cell_that_does_not_match(tmp_path, monkeypatch, case):
@@ -653,7 +667,7 @@ def test_rerun_retrains_a_cell_that_does_not_match(tmp_path, monkeypatch, case):
     assert trained == [1]
     assert written == [ckpt.name, record.name]
     assert json.loads(record.read_text()) == second
-    assert second["config"] == cfg.to_dict()
+    assert second["config"] == dataclasses.replace(cfg, out_dir=str(tmp_path)).to_dict()
     if case == "other epochs":
         assert ckpt.read_bytes() != pristine
     else:
