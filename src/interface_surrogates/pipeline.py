@@ -54,9 +54,12 @@ def _is_number(value, annotation):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment cell; None fields resolve to problem-specific defaults."""
+    """One experiment cell; None fields resolve to problem-specific defaults.
+
+    A config is immutable, so its data hash is computed once per object.
+    """
 
     problem: str = "elliptic"
     d: int = 8
@@ -92,19 +95,19 @@ class ExperimentConfig:
             raise PipelineError(f"unknown problem kind {self.problem!r}")
         if not isinstance(self.out_dir, str):
             raise PipelineError(f"out_dir must be a string, got {self.out_dir!r}")
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type in (int, float) and not (value is None and f.default is None):
-                if not _is_number(value, f.type):
-                    what = "an integer" if f.type is int else "a number"
-                    raise PipelineError(f"{f.name} must be {what}, got {value!r}")
+        for name, kind in _NUMERIC.items():
+            value = getattr(self, name)
+            if not (value is None and name in _OPTIONAL or _is_number(value, kind)):
+                what = "an integer" if kind is int else "a number"
+                raise PipelineError(f"{name} must be {what}, got {value!r}")
+            if isinstance(value, np.generic):
                 # a numpy scalar becomes the Python number, which json writes
-                setattr(self, f.name, value.item() if isinstance(value, np.generic) else value)
+                object.__setattr__(self, name, value.item())
         d = self.direction
         if not (isinstance(d, (list, tuple, np.ndarray)) and len(d) == 2
                 and all(_is_number(v, float) for v in d) and any(d)):
             raise PipelineError(f"direction must be two numbers, not both 0, got {d!r}")
-        self.direction = tuple(float(v) for v in self.direction)
+        object.__setattr__(self, "direction", tuple(float(v) for v in d))
         for name, low in (("n_points", 1), ("n_train", 1), ("n_test", 1),
                           ("epochs", 1), ("restarts", 1), ("depth", 2)):
             if getattr(self, name) < low:
@@ -182,9 +185,13 @@ class ExperimentConfig:
             })
         return sig
 
-    def data_hash(self):
+    @functools.cached_property
+    def _data_hash(self):
         blob = json.dumps(self.data_signature(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+    def data_hash(self):
+        return self._data_hash
 
     def tag(self):
         parts = [self.problem, f"d{self.d}", f"p{self.p:g}",
@@ -197,14 +204,14 @@ class ExperimentConfig:
         return "-".join(parts)
 
     def to_dict(self):
-        return dict(vars(self), direction=list(self.direction))
+        return dict({f.name: getattr(self, f.name) for f in _FIELDS},
+                    direction=list(self.direction))
 
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise PipelineError(f"a config must be a JSON object, got {data!r}")
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - names
+        unknown = set(data) - {f.name for f in _FIELDS}
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -214,6 +221,12 @@ class ExperimentConfig:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
+
+_FIELDS = dataclasses.fields(ExperimentConfig)
+# the int and float fields by name, and the fields whose None default
+# resolves per problem
+_NUMERIC = {f.name: f.type for f in _FIELDS if f.type in (int, float)}
+_OPTIONAL = {f.name for f in _FIELDS if f.default is None}
 
 # ------------------------------------------------------------------ presets
 
@@ -384,7 +397,7 @@ class Dataset:
         return self.samples, self.qoi
 
 
-def gen_data(config, n=None, seed=None, workers=1, workspace=None):
+def gen_data(config, n, seed, workers=1, workspace=None):
     """Generate n (y, q) pairs for config; see sample_parameters for seeding.
 
     The samples are cut into min(max(workers, 1), n) contiguous blocks.  A
@@ -396,8 +409,7 @@ def gen_data(config, n=None, seed=None, workers=1, workspace=None):
     being terminated on the way out, one in a later block only once block 0
     is done, when its result is read.
     """
-    n = config.n_train if n is None else int(n)
-    seed = config.seed if seed is None else int(seed)
+    n, seed = int(n), int(seed)
     if n < 1:
         raise PipelineError("need at least one sample")
     if workspace is not None and workspace.config.data_hash() != config.data_hash():
@@ -429,8 +441,7 @@ def gen_data(config, n=None, seed=None, workers=1, workspace=None):
 
 def _write_json(path, obj):
     with surrogate.atomic_open(path) as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def _paths(base):
@@ -455,8 +466,7 @@ def save_dataset(ds, base):
             with open(tmps[key], "w") as fh:
                 np.savetxt(fh, getattr(ds, key), fmt="%.17g", delimiter=",")
         with open(tmps["meta"], "w") as fh:
-            json.dump(ds.meta, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(ds.meta, indent=1, sort_keys=True) + "\n")
         paths["meta"].unlink(missing_ok=True)
         for key in ("samples", "qoi", "meta"):
             os.replace(tmps[key], paths[key])
@@ -473,8 +483,9 @@ def load_dataset(base, config=None):
         raise PipelineError(f"no dataset at {base}")
     with open(paths["meta"]) as fh:
         meta = json.load(fh)
-    stored = ExperimentConfig.from_dict(meta["config"])
-    if stored.data_hash() != meta["config_hash"]:
+    if not (isinstance(meta, dict) and {"config", "config_hash", "seed"} <= meta.keys()):
+        raise PipelineError(f"{base}: metadata needs config, config_hash and seed")
+    if ExperimentConfig.from_dict(meta["config"]).data_hash() != meta["config_hash"]:
         raise PipelineError(f"{base}: metadata hash does not match stored config")
     if config is not None and config.data_hash() != meta["config_hash"]:
         raise PipelineError(
@@ -577,14 +588,11 @@ def _stored_record(cfg, base):
     a missing, unreadable or malformed file included.  out_dir is left out
     of the comparison: the files were found there, under whatever name the
     directory was given then (out, out/ or an absolute path)."""
-    def trained_on(config):
-        return {k: v for k, v in config.items() if k != "out_dir"}
-
     try:
         with open(base.with_name(base.name + ".result.json")) as fh:
             record = json.load(fh)
         if not (isinstance(record, dict) and isinstance(record.get("config"), dict)
-                and trained_on(record["config"]) == trained_on(cfg.to_dict())
+                and dict(record["config"], out_dir=None) == dict(cfg.to_dict(), out_dir=None)
                 and record.get("config_hash") == cfg.data_hash()):
             return None
         net = surrogate.load_network(base.with_name(base.name + ".mlpc"))
@@ -614,7 +622,8 @@ def _train_cell(cfg, suffix, top, pairs, workers, reuse):
     cell's checkpoint and result go to cfg.out_dir, named cfg.tag() + suffix.
     """
     out = Path(cfg.out_dir)
-    big = dataclasses.replace(cfg, n_points=top) if top % cfg.n_points == 0 else cfg
+    big = (dataclasses.replace(cfg, n_points=top)
+           if top != cfg.n_points and top % cfg.n_points == 0 else cfg)
     key = (big.data_hash(), big.seed, big.n_train, big.n_test)
     stem = pairs.setdefault(key, big.tag() + suffix)
     name = cfg.tag() + suffix
@@ -637,24 +646,22 @@ def _train_cell(cfg, suffix, top, pairs, workers, reuse):
 def _check_axes(axes):
     """axes as {name: list}; PipelineError unless there are one or two axes
     and each maps an int or float config field to a non-empty list of its
-    kind without a repeated value."""
+    kind without two values that format alike (as tags and file names do)."""
     if not isinstance(axes, dict) or not axes:
         raise PipelineError(f"a sweep needs at least one axis, got {axes!r}")
     if len(axes) > 2:
         raise PipelineError(f"a sweep has at most two axes, got {list(axes)}")
-    numeric = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)
-               if f.type in (int, float)}
     for name, values in axes.items():
-        if name not in numeric:
+        if name not in _NUMERIC:
             raise PipelineError(f"unknown sweep axis {name!r}: an axis is a "
                                 f"numeric config field")
         if (not isinstance(values, (list, tuple)) or not values
-                or not all(_is_number(v, numeric[name]) for v in values)):
-            what = "integers" if numeric[name] is int else "numbers"
+                or not all(_is_number(v, _NUMERIC[name]) for v in values)):
+            what = "integers" if _NUMERIC[name] is int else "numbers"
             raise PipelineError(
                 f"sweep axis {name!r} needs a non-empty list of {what}, "
                 f"got {values!r}")
-        if len(set(values)) < len(values):
+        if len({format(v, "g") for v in values}) < len(values):
             # two cells would train into the same files
             raise PipelineError(f"sweep axis {name!r} repeats a value: {values!r}")
     return {k: list(v) for k, v in axes.items()}
@@ -676,9 +683,8 @@ def _slice_points(ds, config):
     if total == config.n_points:
         return ds
     cols = np.arange(0, total, total // config.n_points)
-    meta = dict(ds.meta)
-    meta.update({"config": config.to_dict(), "config_hash": config.data_hash(),
-                 "n_points": config.n_points, "sliced_from": total})
+    meta = dict(ds.meta, config=config.to_dict(), config_hash=config.data_hash(),
+                n_points=config.n_points, sliced_from=total)
     return Dataset(ds.samples, ds.qoi[:, cols], meta)
 
 
@@ -703,8 +709,9 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
     that the tag leaves out; a shared pair keeps the stem of the first cell
     that shares it.  With reuse, a cell already trained into out_dir is read
     back rather than retrained; a trained cell carries "reused": False, a
-    read-back one True.  A failed cell is recorded and skipped; completed
-    cells are kept in NAME.cells.json, rewritten after each cell.
+    read-back one True.  Each combination gives one cell, in
+    itertools.product order, a failed one with its error; the cells so far
+    are kept in NAME.cells.json, rewritten after each cell.
     """
     axes = _check_axes(axes)
     if kind is None:
@@ -737,37 +744,23 @@ def sweep(base_config, axes, out_dir, kind=None, workers=1, reuse=True,
         cells.append(cell)
         _write_json(out / f"{name}.cells.json",
                     {"axes": axes, "kind": kind, "cells": cells})
-    if kind in ("table", "geometry"):
-        _emit_table(out, name, axes, cells)
-    else:
-        _emit_figure(out, name, axes, cells)
+    (_emit_figure if kind == "figure" else _emit_table)(out, name, axes, cells)
     return {"axes": axes, "kind": kind, "cells": cells}
 
 
-def _cell_lookup(cells):
-    table = {}
-    for cell in cells:
-        key = tuple(sorted(cell["axes"].items()))
-        table[key] = cell.get("value")
-    return table
-
-
 def _emit_table(out, name, axes, cells):
+    """Table files from cells in sweep's grid order: row i holds the cells
+    of the first axis's value i, one per value of the second axis."""
     rows, cols = (list(axes) + [None])[:2]
-    lookup = _cell_lookup(cells)
     col_vals = axes[cols] if cols else [None]
     header = [rows] + [f"{cols}={v:g}" if cols else "value" for v in col_vals]
     lines_csv = [",".join(header)]
     lines_md = ["| " + " | ".join(header) + " |",
                 "|" + "---|" * len(header)]
-    for rv in axes[rows]:
-        row = [f"{rv:g}"]
-        for cv in col_vals:
-            key = {rows: rv}
-            if cols:
-                key[cols] = cv
-            v = lookup.get(tuple(sorted(key.items())))
-            row.append("" if v is None else format(v, ".6g"))
+    width = len(col_vals)
+    for i, rv in enumerate(axes[rows]):
+        row = [f"{rv:g}"] + ["" if c.get("value") is None else format(c["value"], ".6g")
+                             for c in cells[i * width:(i + 1) * width]]
         lines_csv.append(",".join(row))
         lines_md.append("| " + " | ".join(row) + " |")
     for suffix, lines in (("csv", lines_csv), ("md", lines_md)):
@@ -776,22 +769,19 @@ def _emit_table(out, name, axes, cells):
 
 
 def _emit_figure(out, name, axes, cells):
-    names = list(axes)
-    x_axis = names[-1]
-    series_axis = names[0] if len(names) > 1 else None
-    groups = {}
-    order = []
-    for cell in cells:
-        if "value" not in cell:
-            continue
-        label = (f"{series_axis} = {cell['axes'][series_axis]:g}"
-                 if series_axis else "error")
-        if label not in groups:
-            groups[label] = {"label": label, "x": [], "y": []}
-            order.append(label)
-        groups[label]["x"].append(float(cell["axes"][x_axis]))
-        groups[label]["y"].append(float(cell["value"]))
-    series = [groups[k] for k in order]
+    """Figure files from cells in sweep's grid order: one series per value
+    of the first of two axes, x = the last axis; failed cells are left out."""
+    *series_axis, x_axis = axes
+    labels = ([f"{series_axis[0]} = {v:g}" for v in axes[series_axis[0]]]
+              if series_axis else ["error"])
+    width = len(axes[x_axis])
+    series = []
+    for i, label in enumerate(labels):
+        done = [c for c in cells[i * width:(i + 1) * width] if "value" in c]
+        if done:
+            series.append({"label": label,
+                           "x": [float(c["axes"][x_axis]) for c in done],
+                           "y": [float(c["value"]) for c in done]})
     if not series:
         return
     plotting.save_series_csv(out / f"{name}.series.csv", series)
