@@ -1,17 +1,21 @@
 """Dense leaky-ReLU network, relative-L2 loss, full-batch Adam.
 
-Everything is plain float64 numpy: the networks are small enough that a
-hand-written reverse pass is both faster to verify and bit-reproducible.
-Training runs full batch with multi-restart selection by test error.
-The parameters are one flat vector, so one Adam update and one write
-cover them.  Activations are feature-major, (width, n) for a batch of n;
-forward takes and returns row-major batches.
+A hand-written numpy reverse pass, deterministic on one machine; full-batch
+training with multi-restart selection by test error.  The parameters are
+one flat float64 vector, so one Adam update and one write cover them.
+Activations are feature-major, (width, n) for a batch of n; forward takes
+and returns row-major batches.
 
-An epoch is one forward and one reverse pass, both in buffers allocated
-once per train call; backward returns the loss of its own forward pass.
-That is the loss before the epoch's step, so the loss history, which
-records the loss after each step, takes it from the next epoch's pass,
-and one loss() after the last step completes it.
+An epoch is one forward and one reverse pass in PASS_DTYPE (float32)
+buffers allocated once per train call, over float64 master weights: the
+parameters, the gradient backward returns, Adam and checkpoints stay
+float64, as do loss() and forward(), and so evaluation, the reported
+errors and restart selection.  The pass puts a floor near 1e-7 absolute
+on the network's output, so on O(1) targets the attainable relative error
+floors near 1e-6.  backward returns its pass's loss, summed in float64
+and within about 1e-7 relative of loss(): the loss before the epoch's
+step.  So the loss history, which records the loss after each step, takes
+it from the next epoch's pass, and one loss() after the last step ends it.
 """
 
 import contextlib
@@ -29,6 +33,8 @@ _CKPT_VERSION = 1
 # and train reports them, so a report always names the optimizer that ran
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# the dtype of a training epoch's forward and reverse pass; train reports it
+PASS_DTYPE = np.float32
 
 
 class Mlp:
@@ -91,24 +97,29 @@ def init(widths, beta=0.2, seed=0):
 
 
 class _Work:
-    """Buffers for training on one batch, allocated once per train call.
+    """PASS_DTYPE buffers for training on the batch (Y, Q, norms) that
+    _batch returns, allocated once per train call.
 
-    Each hidden layer keeps its (width, n) activation and pre > 0 mask
-    for the reverse pass.  ``ping`` and ``pong`` hold the gradient in
-    turn and ``scratch`` the hidden pre-activations and the activation
-    slopes; all three are flat, sized for the widest layer, and viewed
-    (width, n).  ``targets`` is Q feature-major and ``norms`` its squared
-    norms per sample, checked once.
+    ``inputs`` and ``targets`` are Y and Q feature-major, ``params`` a copy
+    of the parameters under the (A, b) views ``weights``, ``grad`` laid out
+    like it, and ``scale`` n times the float64 ``norms``.  Each hidden layer
+    keeps its (width, n) activation and pre > 0 mask for the reverse pass.
+    ``ping`` and ``pong`` hold the gradient in turn and ``scratch`` the
+    hidden pre-activations and the activation slopes; all three are flat,
+    sized for the widest layer, and viewed (width, n).
     """
 
-    def __init__(self, widths, Q):
+    def __init__(self, widths, Y, Q, norms):
         self.n = n = Q.shape[0]
-        self.norms = _target_norms(Q)
-        self.scale = n * self.norms
-        self.targets = np.ascontiguousarray(Q.T)
-        self.acts = [np.empty((w, n)) for w in widths[1:-1]]
+        self.norms, self.scale = norms, (n * norms).astype(PASS_DTYPE)
+        self.inputs, self.targets = (np.ascontiguousarray(a.T, dtype=PASS_DTYPE)
+                                     for a in (Y, Q))
+        self.params = np.empty(sum(o * (i + 1) for i, o in zip(widths, widths[1:])), PASS_DTYPE)
+        self.grad = np.empty_like(self.params)
+        self.weights = _split(widths, self.params)
+        self.acts = [np.empty((w, n), PASS_DTYPE) for w in widths[1:-1]]
         self.masks = [np.empty((w, n), dtype=bool) for w in widths[1:-1]]
-        self.ping, self.pong, self.scratch = (np.empty(n * max(widths[1:]))
+        self.ping, self.pong, self.scratch = (np.empty(n * max(widths[1:]), PASS_DTYPE)
                                               for _ in range(3))
 
     def view(self, flat, width):
@@ -118,19 +129,18 @@ class _Work:
 
 def _forward(net, z, work=None):
     """Output of the network for the feature-major batch z, (N_0, n), as
-    an (N_L, n) array.  With work, each hidden activation and its mask
-    stay in work for backward and the output is written to work.ping;
-    without, every array is fresh.
+    an (N_L, n) array.  With work, the layers are work.weights, each
+    hidden activation and its mask stay in work for backward and the
+    output is written to work.ping; without, every array is fresh.
 
     The activation is maximum(pre, beta * pre), which for 0 <= beta <= 1
     is pre where pre > 0 and beta * pre elsewhere, except that beta = 0
     maps pre = +inf to NaN.
     """
-    for ell, (A, b) in enumerate(net.weights):
+    for ell, (A, b) in enumerate(net.weights if work is None else work.weights):
         hidden = ell < net.n_layers - 1
-        into = None
-        if work is not None:
-            into = work.view(work.scratch if hidden else work.ping, A.shape[0])
+        into = None if work is None else work.view(
+            work.scratch if hidden else work.ping, A.shape[0])
         pre = np.matmul(A, z, out=into)
         pre += b[:, None]
         if not hidden:
@@ -151,52 +161,55 @@ def forward(net, y):
     return _forward(net, y.T).T
 
 
-def _target_norms(Q):
+def _relative_loss(residual, norms):
+    """The loss for a feature-major residual, (N_L, n), summed in float64."""
+    return float(np.mean(np.sum(residual * residual, axis=0, dtype=float) / norms))
+
+
+def _batch(widths, Y, Q):
+    """Y and Q as float64 batches, one sample per row, checked to fit
+    widths, and Q's squared norms per sample, checked nonzero."""
+    Y, Q = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (Y, Q))
+    if Y.shape[0] != Q.shape[0] or (Y.shape[1], Q.shape[1]) != (widths[0], widths[-1]):
+        raise ValueError(f"inputs {Y.shape} and targets {Q.shape} do not fit a "
+                         f"network from {widths[0]} to {widths[-1]}")
     norms = np.sum(Q * Q, axis=1)
     if np.any(norms == 0):
         raise ValueError("zero-norm target in batch")
-    return norms
-
-
-def _relative_loss(residual, norms):
-    """The loss for a feature-major residual, (N_L, n)."""
-    return float(np.mean(np.sum(residual * residual, axis=0) / norms))
+    return Y, Q, norms
 
 
 def loss(net, Y, Q):
     """Mean relative squared Euclidean error over the batch."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    norms = _target_norms(Q)
+    Y, Q, norms = _batch(net.widths, Y, Q)
     return _relative_loss(_forward(net, Y.T) - Q.T, norms)
 
 
 def backward(net, Y, Q, work=None):
-    """loss() and its gradient from one forward pass.
+    """loss() and its gradient from one forward pass in PASS_DTYPE.
 
-    Returns (value, grad): value equals loss(net, Y, Q) bit for bit, and
-    grad is a fresh vector laid out like net.params.  The slope at the
-    kink is taken as beta.  ``work`` is the _Work that train builds once
-    for this batch.
+    Returns (value, grad): value is the loss of that pass, summed in
+    float64, and grad a fresh float64 vector laid out like net.params.
+    The slope at the kink is taken as beta.  ``work`` is the _Work that
+    train builds once for the batch; with it, Y and Q are read from work.
     """
     if work is None:
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        work = _Work(net.widths, Q)
-    G = _forward(net, Y.T, work)
+        work = _Work(net.widths, *_batch(net.widths, Y, Q))
+    work.params[:] = net.params
+    G = _forward(net, work.inputs, work)
     G -= work.targets
     value = _relative_loss(G, work.norms)
     G *= 2.0
     G /= work.scale
-    # 1 - beta + beta rounds to exactly 1.0 for 0 <= beta <= 1, so each
-    # slope entry is exactly 1.0 or beta
-    rest = 1.0 - net.beta
+    # 1 - beta + beta rounds to exactly 1 for 0 <= beta <= 1, so each
+    # slope entry is exactly 1 or beta
+    beta = PASS_DTYPE(net.beta)
+    rest = 1 - beta
     ping, pong = work.ping, work.pong
-    grad = np.empty_like(net.params)
-    layers = list(zip(net.weights, net.split(grad)))
+    layers = list(zip(work.weights, net.split(work.grad)))
     for ell in range(net.n_layers - 1, -1, -1):
         (A, _), (gA, gb) = layers[ell]
-        z = work.acts[ell - 1] if ell > 0 else Y.T
+        z = work.acts[ell - 1] if ell > 0 else work.inputs
         np.matmul(G, z.T, out=gA)
         np.sum(G, axis=1, out=gb)
         if ell > 0:
@@ -204,9 +217,9 @@ def backward(net, Y, Q, work=None):
             ping, pong = pong, ping
             slope = np.multiply(work.masks[ell - 1], rest,
                                 out=work.view(work.scratch, A.shape[1]))
-            slope += net.beta
+            slope += beta
             G *= slope
-    return value, grad
+    return value, work.grad.astype(float)
 
 
 class AdamState:
@@ -286,23 +299,20 @@ def train(train_set, test_set, widths, epochs, restarts=1, base_seed=0,
     callback(restart, epoch, loss after that epoch's step) is called for
     every finite loss, as soon as the next forward pass has computed it.
     """
-    Y_tr, Q_tr = (np.atleast_2d(np.asarray(a, dtype=float)) for a in train_set)
-    Y_te, Q_te = (np.atleast_2d(np.asarray(a, dtype=float)) for a in test_set)
+    Y_tr, Q_tr, norms = _batch(widths, *train_set)
+    Y_te, Q_te, _ = _batch(widths, *test_set)
     if Y_tr.shape[0] == 0 or Y_te.shape[0] == 0:
         raise ValueError("empty train or test set")
     if restarts < 1 or epochs < 0:
         raise ValueError(f"need restarts >= 1 and epochs >= 0, got {restarts} "
                          f"and {epochs}")
-    hyper = {
-        "widths": list(widths),
-        "beta": beta,
-        "lr": lr,
-        "adam_betas": ADAM_BETAS,
-        "adam_eps": ADAM_EPS,
-        "epochs": epochs,
-        "restarts": restarts,
-    }
-    work = _Work(widths, Q_tr)
+    hyper = {"widths": list(widths), "beta": beta, "lr": lr, "adam_betas": ADAM_BETAS,
+             "adam_eps": ADAM_EPS, "pass_dtype": np.dtype(PASS_DTYPE).name,
+             "epochs": epochs, "restarts": restarts}
+    # NaN fails the test, and a float64 beyond the pass's range turns inf in the cast
+    if not all(np.all(np.abs(a) <= np.finfo(PASS_DTYPE).max) for a in (Y_tr, Q_tr, Y_te, Q_te)):
+        raise ValueError(f"train and test sets must be finite in {hyper['pass_dtype']}")
+    work = _Work(widths, Y_tr, Q_tr, norms)
     best = None
     reports = []
     for r in range(restarts):
@@ -328,13 +338,9 @@ def train(train_set, test_set, widths, epochs, restarts=1, base_seed=0,
                 adam_step(net, grad, state)
         wall = time.perf_counter() - t0
         diverged = bool(history) and not np.isfinite(history[-1])
-        if diverged:
-            report = TrainReport(history, np.inf, np.inf, r, seed, wall,
-                                 hyper, diverged=True)
-        else:
-            report = TrainReport(history, np.sqrt(value),
-                                 np.sqrt(loss(net, Y_te, Q_te)),
-                                 r, seed, wall, hyper)
+        errors = ((np.inf, np.inf) if diverged
+                  else (np.sqrt(value), np.sqrt(loss(net, Y_te, Q_te))))
+        report = TrainReport(history, *errors, r, seed, wall, hyper, diverged)
         reports.append(report)
         if not diverged and (best is None or report.test_error < best[1].test_error):
             best = (net, report)
