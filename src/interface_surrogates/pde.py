@@ -25,8 +25,9 @@ factor A(0) once and solve each sample by CG preconditioned by that factor
 (mean-based preconditioning, Powell & Elman 2009).  linalg.nominal_factor
 picks the factor by what the mesh shows: on a mesh whose rings are all
 circles (every disk mesh) A(0) is block-circulant in azimuth and is solved
-by an FFT along the rings and a Thomas sweep over the modes; on any other mesh,
-the square one among them, by a sparse LU of A(0).  Both problems check a
+by an FFT along the rings and a Thomas sweep over the modes; the square
+mesh's outer rings blend into the square, so it adds a Schur complement on
+its last circle and a sparse LU of the rings beyond.  Both problems check a
 solution by its normwise backward error (Rigal & Gaches 1967).
 
 The transmission problem is solved for the scattered field with the
@@ -224,19 +225,28 @@ class _Elements:
 
 
 def _ring_templates(mesh, mask):
-    """The triangles of mask as (rotations (T, m), rest (S, 1)): on a ring
-    mesh, the fan and each strip between circular rings that mask covers
-    whole are m rotations of a template; rest holds the others."""
+    """The triangles of mask as (rotations (T, m), quarters (Q, 4), rest (S,
+    1)): on a ring mesh, the fan and each strip between circular rings that
+    mask covers whole are m rotations of a template, and, when a quarter turn
+    maps the rings onto themselves, a strip beyond the circles is m / 4
+    templates of 4 copies (the square mesh's fill); rest holds the others."""
     if mesh.rings is None:
-        return np.empty((0, 1), dtype=np.int64), np.nonzero(mask)[0][:, None]
+        return (np.empty((0, 1), dtype=np.int64),) * 2 + (np.nonzero(mask)[0][:, None],)
     m, count, circles = mesh.rings
     # fan triangle a, and triangle m + 2 m s + 2 a + j of the strip between
     # rings s and s + 1, are copy a of template 0 and of template 1 + 2 s + j
     strips = m + 2 * m * np.arange(count - 1)[:, None, None] + np.arange(2)[:, None]
     tris = np.concatenate([np.arange(m)[None], (strips + 2 * np.arange(m)).reshape(-1, m)])
-    tris = tris[mask[tris].all(axis=1) & (np.arange(2 * count - 1) < 2 * circles - 1)]
+    circular = np.arange(2 * count - 1) < 2 * circles - 1
+    ring, q = mesh.vertices[1:].view(complex).reshape(count, m), m // 4
+    turn = (circles < count and m % 4 == 0
+            and np.abs(ring[:, q:] - 1j * ring[:, :-q]).max() <= 1e-12 * abs(ring).max())
+    # copy a of a quarter template sits a m / 4 azimuths on
+    quarters = tris[~circular & turn].reshape(-1, 4, q).transpose(0, 2, 1).reshape(-1, 4)
+    groups = [t[mask[t].all(axis=1)] for t in (tris[circular], quarters)]
     # the rest: triangles of mask that no template counts
-    return tris, np.flatnonzero(np.bincount(tris.ravel(), minlength=mask.size) < mask)[:, None]
+    counted = np.bincount(np.concatenate([t.ravel() for t in groups]), minlength=mask.size)
+    return (*groups, np.flatnonzero(counted < mask)[:, None])
 
 
 class _MappedProblem:
@@ -258,8 +268,8 @@ class _MappedProblem:
     layer's stretch.  The fixed triangles (once, in __init__) and the band
     (per sample, in _band) share one kernel: _metric contracted with _weights.
 
-    The first _solve factors A(0) (linalg.nominal_factor, by FFT or LU as
-    the mesh's ring layout allows); each sample then runs CG (COCG for the
+    The first _solve factors A(0) (linalg.nominal_factor, by the method the
+    mesh's ring layout picks); each sample then runs CG (COCG for the
     complex Helmholtz matrix) preconditioned by it, is rejected when its
     backward error exceeds BACKWARD_ERROR_FACTOR tol, and its info names
     the nominal solve ("nominal"), that factor's fill ("nominal_fill") and
@@ -299,8 +309,8 @@ class _MappedProblem:
             factors = self._fixed_factors(el)
             self._fixed = (self._fixed[0] + self._values(el, self._weights(el), _metric(*factors)),
                            self._fixed[1] + self._load(el, *factors))
-        rotations, rest = _ring_templates(mesh, moving)
-        if rest.size:
+        rotations, *rest = _ring_templates(mesh, moving)
+        if any(r.size for r in rest):
             raise MeshError("band triangles must fill strips between circles of a ring mesh")
         el = self.band = _Elements(mesh, rotations, area, slots, dof_slots)
         el.load_tables = self._load_tables(el)
@@ -408,9 +418,9 @@ class EllipticProblem(_MappedProblem):
     -div(alpha grad u) = f on the square, u = 0 on the boundary, alpha =
     alpha_i inside the interface and 1 outside.  Solved on the nominal
     mesh via the pullback coefficients; the linear systems are SPD and go
-    through conjugate gradients preconditioned by the nominal factor (a
-    sparse LU on the square mesh, the azimuthal FFT solve on a disk mesh),
-    to relative residual cg_tol.
+    through conjugate gradients preconditioned by the nominal factor (the
+    azimuthal FFT solve plus a Schur complement on the square mesh's last
+    circle), to relative residual cg_tol.
     """
 
     def __init__(self, mesh, dm, alpha_i, source=default_source, cg_tol=1e-10):

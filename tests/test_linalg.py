@@ -206,7 +206,11 @@ def mode_system(A, m, nring, p):
 
 def test_nominal_method_follows_ring_layout():
     assert nominal_method(RingLayout(8, 4, 4)) == "fft"
-    assert nominal_method(RingLayout(8, 4, 3)) == "lu"
+    # circles that stop before the boundary, as on the square meshes
+    assert nominal_method(RingLayout(8, 4, 3)) == "schur"
+    assert nominal_method(RingLayout(56, 13, 11)) == "schur"
+    assert nominal_method(RingLayout(104, 21, 18)) == "schur"
+    assert nominal_method(RingLayout(104, 21, 0)) == "lu"
     assert nominal_method(None) == "lu"
 
 
@@ -222,8 +226,8 @@ def test_nominal_factor_fft_inverts_block_circulant(shift):
     x = factor.solve(b)
     assert np.iscomplexobj(x) == bool(shift)
     np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-12, atol=1e-12)
-    # the same matrix on a layout that is not all circles goes to LU
-    lu = nominal_factor(A, RingLayout(m, nring + 1, nring))
+    # the same matrix without a ring layout goes to LU
+    lu = nominal_factor(A, None)
     assert lu.method == "lu"
     np.testing.assert_allclose(lu.solve(b), x, rtol=1e-12, atol=1e-12)
     # both carry the 1-norm of A
@@ -242,6 +246,58 @@ def test_nominal_factor_rejects_matrix_that_is_not_circulant():
     A[1, 1 + 2 * m] = A[1 + 2 * m, 1] = -0.1
     with pytest.raises(ValueError, match="more than one apart"):
         nominal_factor(A.tocsr(), rings)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+@pytest.mark.parametrize("circles", [1, 3, 5])
+def test_nominal_factor_schur_inverts_stencil_with_fill_rings(shift, circles):
+    # rings circles ... nring - 1 play the square mesh's fill (none when
+    # circles is nring): their rows get an entry that no rotation shares
+    m, nring = 8, 5
+    A = polar_stencil(m, nring, shift).tolil()
+    for k in range(circles, nring):
+        A[1 + k * m, 1 + k * m] += 0.5 + k
+        A[1 + k * m, 2 + k * m] = A[2 + k * m, 1 + k * m] = -0.3
+    A = A.tocsr()
+    factor = nominal_factor(A, RingLayout(m, nring + 1, circles))
+    assert factor.method == "schur"
+    b = np.random.default_rng(2).standard_normal(A.shape[0])
+    x = factor.solve(b)
+    assert np.iscomplexobj(x) == bool(shift)
+    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-12, atol=1e-12)
+
+
+def test_nominal_factor_schur_rejects_matrix_that_is_not_circulant_inside():
+    # an entry of ring 0, inside the first ring that is not a circle
+    m, nring = 8, 4
+    A = polar_stencil(m, nring)
+    A[1 + m + 3, 1 + m + 3] *= 1 + 1e-10
+    with pytest.raises(ValueError, match="not block-circulant"):
+        nominal_factor(A, RingLayout(m, nring + 1, 3))
+    # on the first ring that is not a circle, nothing averages it
+    assert nominal_factor(A, RingLayout(m, nring + 1, 2)).method == "schur"
+    # a coupling from ring 0 to ring 2, beyond the first ring that is not a
+    # circle, both ways and from ring 2's row alone
+    A = polar_stencil(m, nring).tolil()
+    A[1, 1 + 2 * m] = A[1 + 2 * m, 1] = -0.1
+    for B in (A.tocsr(), sp.csr_matrix(polar_stencil(m, nring) + sp.csr_matrix(
+            ([-0.1], ([1 + 2 * m], [1])), shape=A.shape))):
+        with pytest.raises(ValueError, match="more than one apart"):
+            nominal_factor(B, RingLayout(m, nring + 1, 2))
+
+
+def test_nominal_factor_schur_detects_singular_complement():
+    # ring 2 (the first whose row is not block-circulant) decoupled with a
+    # zero diagonal block: its Schur complement vanishes
+    m, nring = 8, 4
+    A = polar_stencil(m, nring).tolil()
+    ring = np.arange(1 + 2 * m, 1 + 3 * m)
+    A[ring, :] = 0.0
+    A[:, ring] = 0.0
+    A = A.tocsr()
+    A.eliminate_zeros()
+    with pytest.raises(SingularMatrixError, match="Schur complement on ring 2"):
+        nominal_factor(A, RingLayout(m, nring + 1, 3))
 
 
 def test_nominal_factor_fft_detects_singular_mode_system():
@@ -432,13 +488,14 @@ def _float32_matrix():
 
 
 def _strided_preconditioner():
-    # the FFT nominal solve of a real matrix returns the real part of a
-    # complex array, a view with twice the stride
+    # the FFT nominal solve, returned as the real part of a complex array: a
+    # view with twice the stride
     m, nring = 8, 4
     A0 = polar_stencil(m, nring)
     rng = np.random.default_rng(24)
     A = (A0 + sp.diags(rng.uniform(0.0, 2.0, A0.shape[0]))).tocsr()
-    solve = nominal_factor(A0, RingLayout(m, nring + 1, nring + 1)).solve
+    fft = nominal_factor(A0, RingLayout(m, nring + 1, nring + 1)).solve
+    solve = lambda r: fft(r).astype(complex).real
     b = rng.normal(size=A.shape[0])
     assert not solve(b).flags.c_contiguous
     return A, b, solve
@@ -461,8 +518,8 @@ def test_cg_matches_the_allocating_loop(system):
 
 def _nominal_case(case):
     """(A(0), ring layout, load) of a desk problem: the complex FFT solve on
-    the Helmholtz disk mesh, the real one on a ring stencil, the LU on the
-    elliptic square mesh."""
+    the Helmholtz disk mesh, the real one on a ring stencil, the Schur split
+    on the elliptic square mesh and the LU on its matrix without a layout."""
     rng = np.random.default_rng(25)
     if case == "fft-real":
         m, nring = 8, 4
@@ -474,10 +531,10 @@ def _nominal_case(case):
     loads = rng.normal(size=(2, A.shape[0]))
     if np.iscomplexobj(A.data):
         loads = loads + 1j * rng.normal(size=loads.shape)
-    return A, problem.mesh.rings, loads
+    return A, None if case == "lu" else problem.mesh.rings, loads
 
 
-@pytest.mark.parametrize("case", ["fft", "fft-real", "lu"])
+@pytest.mark.parametrize("case", ["fft", "fft-real", "schur", "lu"])
 def test_nominal_solve_behaves_as_a_pure_function(case):
     A, rings, (r1, r2) = _nominal_case(case)
     factor = nominal_factor(A, rings)

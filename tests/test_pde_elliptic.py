@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,7 +20,7 @@ from interface_surrogates.mesh import (
     build_square_mesh,
 )
 from interface_surrogates.oracles import manufactured_poisson, radial_two_zone
-from interface_surrogates import pde
+from interface_surrogates import pde, pipeline
 from interface_surrogates.pde import (
     EllipticProblem,
     SolverError,
@@ -290,3 +292,25 @@ def test_qoi_vertex_value_and_outside_error():
     assert abs(q[0] - field.data[k]) <= 1e-13
     with pytest.raises(Exception):
         evaluate_qoi(field, dm, np.zeros(8), np.array([[3.0, 3.0]]), "value")
+
+
+# ------------------------------------------------- the square mesh's nominal solve
+
+
+@pytest.mark.parametrize("sizes", [{}, {"h_interface": 0.06, "h_far": 0.2}],
+                         ids=["desk-elliptic", "sweep-cells"])
+def test_schur_nominal_factor_matches_lu(sizes):
+    config = dataclasses.replace(pipeline.preset("desk-elliptic"), **sizes)
+    problem = pipeline.Workspace(config).problem
+    m, count, circles = problem.mesh.rings
+    assert circles < count - 1  # fill rings beyond the last circle
+    factor = problem._nominal_factor()
+    assert factor.method == "schur" and factor.fill > 0
+    A0, _ = problem.assemble(np.zeros(problem.dm.model.d))
+    rng = np.random.default_rng(7)
+    r, s = rng.standard_normal((2, A0.shape[0]))
+    expected = spla.splu(sp.csc_matrix(A0)).solve(r)
+    x = factor.solve(r)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    # CG needs a symmetric preconditioner: s^T M^-1 r = r^T M^-1 s to rounding
+    assert abs(s @ x - r @ factor.solve(s)) <= 1e-13 * np.linalg.norm(s) * np.linalg.norm(x)

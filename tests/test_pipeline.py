@@ -340,8 +340,9 @@ def test_gen_data_shapes_and_metadata():
     assert ds.meta["config_hash"] == cfg.data_hash()
     assert ds.meta["n_samples"] == 5 and ds.meta["seed"] == 9
     assert len(ds.meta["mesh_checksum"]) == 64
-    # the square mesh's outer rings are not circles: sparse LU nominal solve
-    assert ds.meta["solver"] == {"method": "nominal-lu-cocg", "tol": cfg.cg_tol}
+    # the square mesh's outer rings are not circles: the FFT and Schur
+    # complement nominal solve
+    assert ds.meta["solver"] == {"method": "nominal-schur-cocg", "tol": cfg.cg_tol}
     np.testing.assert_array_equal(ds.samples[2],
                                   pl.sample_parameters(cfg.seed, 2, cfg.d))
 
